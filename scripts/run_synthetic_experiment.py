@@ -1,30 +1,21 @@
 #!/usr/bin/env python3
 """End-to-end experiment on a generated synthetic corpus.
 
-Writes class-colored frames plus COCO annotations, runs the full
-prepare -> train -> evaluate pipeline for one registry model, and prints
-the resulting test-split metrics. Everything lands under --workdir so a
-run is fully self-contained and reproducible from the seed.
+Writes class-colored frames plus COCO annotations, then runs `pednet
+prepare`, `pednet train` and `pednet evaluate` (test split) for one registry
+model. Everything lands under --workdir so a run is fully self-contained and
+reproducible from the seed.
 
-Example:
+Example (with pednet installed, or src/ on PYTHONPATH):
     python scripts/run_synthetic_experiment.py --model-id 8 \
         --workdir /tmp/pednet-demo --per-class 12 --epochs 10
 """
 
 import argparse
-import json
 import os
 import sys
 
-import numpy as np
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
-
-from pednet import checkpoint as ckpt
-from pednet import data, metrics, models, optim
-from pednet import train as engine
-
-from conftest import make_synthetic_corpus
+from pednet import cli, data
 
 
 def main() -> int:
@@ -40,58 +31,28 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    os.makedirs(args.workdir, exist_ok=True)
     corpus = os.path.join(args.workdir, "corpus")
-    ann, frames = make_synthetic_corpus(
-        corpus, [args.per_class] * len(models.CLASS_NAMES), seed=args.seed)
+    ann, frames = data.make_synthetic_corpus(
+        corpus, [args.per_class] * len(data.CLASS_NAMES), seed=args.seed)
     print(f"synthetic corpus written under {corpus}")
 
     prepared = os.path.join(args.workdir, "prepared")
-    manifest = data.prepare_dataset(ann, frames, prepared,
-                                    target=args.balance_target,
-                                    seed=args.seed)
-    for split in data.SPLITS:
-        counts = manifest.per_class_counts(split)
-        print(f"{split:>5}: " + "  ".join(f"{name}={n}"
-                                          for name, n in counts.items()))
-
-    config = models.registry_lookup(args.model_id)
-    model = models.build_model(config, seed=args.seed)
-    _, total, trainable = model.summary()
-    print(f"model {config.model_id} ({config.architecture}/{config.pooling}): "
-          f"{total:,} parameters, {trainable:,} trainable")
-
-    x_train, y_train = data.load_split_arrays(manifest, "train")
-    x_val, y_val = data.load_split_arrays(manifest, "val")
-    tc = engine.TrainConfig(seed=args.seed,
-                            max_epochs_phase1=args.epochs,
-                            max_epochs_phase2=args.epochs_phase2)
-    history = engine.train(model, config, tc, x_train, y_train, x_val, y_val)
-    for r in history.records:
-        print(f"epoch {r.epoch:3d} phase {r.phase}  "
-              f"train loss {r.train_loss:.4f} acc {r.train_acc:.3f}  "
-              f"val loss {r.val_loss:.4f} acc {r.val_acc:.3f}")
-    print(f"stopped: {history.stop_reason}, best epoch {history.best_epoch}")
-
-    ckpt_path = os.path.join(args.workdir, f"model{config.model_id}.pdcn")
-    ckpt.save_model(ckpt_path, model, config,
-                    optimizer=optim.make_optimizer(config), history=history)
-    with open(os.path.join(args.workdir, "history.csv"), "w",
-              encoding="utf-8", newline="\n") as f:
-        f.write(history.to_csv())
-
-    x_test, y_test = data.load_split_arrays(manifest, "test")
-    preds = np.concatenate([model.forward(x_test[i:i + 8], train=False)
-                            for i in range(0, len(x_test), 8)])
-    report = metrics.build_report(config.model_id, preds,
-                                  y_test.argmax(axis=1))
-    report_path = os.path.join(args.workdir, "test_report.json")
-    with open(report_path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(metrics.report_to_json(report))
-    print(f"test accuracy {report.accuracy:.4f}  "
-          f"macro PR-AUC {report.pr_auc_macro:.4f}")
-    print(f"checkpoint: {ckpt_path}")
-    print(f"report:     {report_path}")
+    manifest = os.path.join(prepared, "manifest.tsv")
+    checkpoint = os.path.join(args.workdir, f"model{args.model_id}.pdcn")
+    seed = ["--seed", str(args.seed)]
+    for argv in (
+            ["prepare", "--annotations", ann, "--frames", frames,
+             "--workdir", prepared,
+             "--balance-target", str(args.balance_target), *seed],
+            ["train", "--manifest", manifest,
+             "--model-id", str(args.model_id), "--workdir", args.workdir,
+             "--epochs", str(args.epochs),
+             "--epochs-phase2", str(args.epochs_phase2), *seed],
+            ["evaluate", "--checkpoint", checkpoint, "--manifest", manifest,
+             "--split", "test", "--out", args.workdir]):
+        rc = cli.main(argv)
+        if rc != 0:
+            return rc
     return 0
 
 

@@ -190,19 +190,9 @@ def load_backbone_weights(model, path):
     """Fill every backbone parameter/statistic from a checkpoint file."""
     data = read_checkpoint(path)
     backbone = set(n.name for n in model.nodes[:model.backbone_len])
-    for name, layer, pname in model.named_params():
-        if name.split(".")[0] not in backbone:
-            continue
-        key = f"param:{name}"
+    keys = [k for k in model_tensors(model)
+            if k.split(":", 1)[1].split(".", 1)[0] in backbone]
+    for key in keys:
         if key not in data.tensors:
             raise CheckpointError(f"missing backbone tensor {key}")
-        _check_shape(key, data.tensors[key], layer.params[pname])
-        layer.params[pname] = data.tensors[key].astype(layer.params[pname].dtype)
-    for name, layer, sname in model.named_state():
-        if name.split(".")[0] not in backbone:
-            continue
-        key = f"state:{name}"
-        if key not in data.tensors:
-            raise CheckpointError(f"missing backbone tensor {key}")
-        _check_shape(key, data.tensors[key], layer.state[sname])
-        layer.state[sname] = data.tensors[key].astype(layer.state[sname].dtype)
+    assign_tensors(model, {k: data.tensors[k] for k in keys})

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import checkpoint as ckpt
-from . import data, metrics, optim, train
+from . import data, metrics, train
 from .errors import PednetError
 from .models import (CLASS_NAMES, build_model, registry_lookup)
 
@@ -136,10 +136,9 @@ def cmd_train(args) -> int:
                            patience=cfg["patience"])
     history = train.train(model, config, tc, x_train, y_train, x_val, y_val)
     os.makedirs(args.workdir, exist_ok=True)
-    opt = optim.make_optimizer(config)
     ckpt_path = os.path.join(args.workdir, f"model{config.model_id}.pdcn")
-    ckpt.save_model(ckpt_path, model, config, optimizer=opt, history=history,
-                    extra_meta={"seed": cfg["seed"]})
+    ckpt.save_model(ckpt_path, model, config, optimizer=history.optimizer,
+                    history=history, extra_meta={"seed": cfg["seed"]})
     hist_path = os.path.join(args.workdir, f"model{config.model_id}_history.csv")
     with open(hist_path, "w", encoding="utf-8", newline="\n") as f:
         f.write(history.to_csv())
@@ -149,7 +148,8 @@ def cmd_train(args) -> int:
         for key in sorted(cfg):
             f.write(f"{key} = {cfg[key]}\n")
     last = history.records[-1]
-    print(f"stopped after epoch {last.epoch} ({history.stop_reason}); "
+    print(f"stopped after epoch {last.epoch} "
+          f"({', '.join(history.stop_reasons)}); "
           f"best epoch {history.best_epoch}")
     print(f"checkpoint written to {ckpt_path}")
     print(f"history written to {hist_path}")
@@ -164,8 +164,7 @@ def cmd_evaluate(args) -> int:
     model, config, _, _ = ckpt.restore_model(args.checkpoint)
     manifest = data.read_manifest(args.manifest)
     x, y = data.load_split_arrays(manifest, args.split)
-    preds = np.concatenate([model.forward(x[i:i + 8], train=False)
-                            for i in range(0, len(x), 8)])
+    preds, _ = train.predict(model, x)
     report = metrics.build_report(config.model_id, preds, y.argmax(axis=1))
     out_dir = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
     os.makedirs(out_dir, exist_ok=True)
@@ -188,21 +187,24 @@ def cmd_infer(args) -> int:
         print(f"error: missing checkpoint: {args.checkpoint}", file=sys.stderr)
         return 2
     model, _, _, _ = ckpt.restore_model(args.checkpoint)
-    failed = False
+    paths, images = [], []
     for path in args.images:
         try:
             img = data.load_image(path)
-            img = data.bilinear_resize(img, data.CROP_SIZE, data.CROP_SIZE)
-            probs = model.forward(img[None].astype(np.float32) / 255.0,
-                                  train=False)[0]
         except PednetError as e:
             print(f"{path}\terror: {e}", file=sys.stderr)
-            failed = True
             continue
-        label = CLASS_NAMES[int(probs.argmax())]
-        prob_str = " ".join(f"{p:.6f}" for p in probs)
-        print(f"{path}\t{label}\t{prob_str}")
-    return 1 if failed else 0
+        paths.append(path)
+        images.append(data.bilinear_resize(img, data.CROP_SIZE,
+                                           data.CROP_SIZE))
+    if images:
+        probs, _ = train.predict(model,
+                                 np.stack(images).astype(np.float32) / 255.0)
+        for path, row in zip(paths, probs):
+            label = CLASS_NAMES[int(row.argmax())]
+            prob_str = " ".join(f"{p:.6f}" for p in row)
+            print(f"{path}\t{label}\t{prob_str}")
+    return 1 if len(paths) < len(args.images) else 0
 
 
 def main(argv=None) -> int:

@@ -439,3 +439,57 @@ def load_split_arrays(manifest: DatasetManifest, split: str,
     y = one_hot([CLASS_NAMES.index(s.class_name) for s in samples],
                 dtype=dtype)
     return x, y
+
+
+# -- synthetic corpus ----------------------------------------------------
+
+# One distinctive solid color per class, in CLASS_NAMES order.
+CLASS_COLORS = np.array([
+    [220, 30, 30],
+    [30, 220, 30],
+    [30, 30, 220],
+    [220, 220, 30],
+    [220, 30, 220],
+    [30, 220, 220],
+], dtype=np.float32)
+
+
+def make_synthetic_corpus(root, per_class_counts, frame_hw=(120, 160),
+                          seed=7, noise=12.0):
+    """Write frames + a COCO annotation file for a toy corpus.
+
+    Each frame holds a single class-colored pedestrian box on a gray
+    background. Returns (annotations path, frames dir).
+    """
+    frames_dir = os.path.join(root, "frames")
+    os.makedirs(frames_dir, exist_ok=True)
+    rng = np.random.default_rng(seed)
+    h, w = frame_hw
+    images, annotations = [], []
+    ann_id = 1
+    for c, count in enumerate(per_class_counts):
+        for _ in range(count):
+            frame = np.full((h, w, 3), 110.0, np.float32)
+            bx = int(rng.integers(0, w - 60))
+            by = int(rng.integers(0, h - 80))
+            patch = (CLASS_COLORS[c]
+                     + rng.normal(0, noise, (80, 60, 3)).astype(np.float32))
+            frame[by:by + 80, bx:bx + 60] = np.clip(patch, 0, 255)
+            fname = f"frame_{ann_id:05d}.ppm"
+            write_ppm(os.path.join(frames_dir, fname), frame)
+            images.append({"id": ann_id, "file_name": fname,
+                           "width": w, "height": h})
+            annotations.append({"id": ann_id, "image_id": ann_id,
+                                "category_id": c,
+                                "bbox": [bx, by, 60, 80]})
+            ann_id += 1
+    doc = {
+        "images": images,
+        "annotations": annotations,
+        "categories": [{"id": c, "name": name}
+                       for c, name in enumerate(CLASS_NAMES)],
+    }
+    ann_path = os.path.join(root, "annotations.json")
+    with open(ann_path, "w", encoding="utf-8") as f:
+        json.dump(doc, f)
+    return ann_path, frames_dir

@@ -125,10 +125,6 @@ class Conv2D(Layer):
         dcol = dcol.reshape(n, ho, wo, self.kernel, self.kernel, self.in_channels)
         return _col2im(dcol, in_shape, self.stride, pads)
 
-    def param_count(self):
-        # K*K*C*F weights + F biases, all trainable when the flag is set
-        return super().param_count()
-
 
 class BatchNorm(Layer):
     kind = "batchnorm"
@@ -342,8 +338,3 @@ class Add(Layer):
     def backward(self, upstream):
         self._require_cache()
         return upstream, upstream
-
-
-def set_trainable(layer: Layer, flag: bool) -> Layer:
-    layer.trainable = bool(flag)
-    return layer

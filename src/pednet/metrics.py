@@ -194,10 +194,6 @@ def report_to_json(report: MetricsReport) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def report_from_json(text: str) -> dict:
-    return json.loads(text)
-
-
 def pr_curves_to_csv(report: MetricsReport) -> str:
     lines = ["class,threshold,recall,precision"]
     for name in CLASS_NAMES:

@@ -117,7 +117,6 @@ class Model:
             grads[last.inputs[0]] = upstream
         else:
             grads[-1] = upstream
-        input_grad = None
         for idx in range(len(self.nodes) - 1, -1, -1):
             g = grads[idx]
             if g is None:
@@ -127,11 +126,8 @@ class Model:
             if not isinstance(down, tuple):
                 down = (down,)
             for i, gi in zip(node.inputs, down):
-                if i == -1:
-                    input_grad = gi if input_grad is None else input_grad + gi
-                else:
+                if i != -1:
                     grads[i] = gi if grads[i] is None else grads[i] + gi
-        return input_grad
 
     # -- parameters -------------------------------------------------------
 
@@ -208,20 +204,10 @@ def build_custom_cnn(pooling: str, seed: int = 0,
     return m
 
 
-def _bottleneck(m: Model, name: str, in_idx: int, width: int, stride: int,
-                project: bool, seed: int, sidx: int, dtype) -> int:
+def _bottleneck(m: Model, name: str, in_idx: int, in_ch: int, width: int,
+                stride: int, project: bool, seed: int, sidx: int, dtype) -> int:
     """Post-activation bottleneck: 1x1/s -> 3x3 -> 1x1 (x4), optional
     projection shortcut, elementwise add, relu. Returns the output node."""
-    in_ch = 0
-    # input channel count is recoverable from the producing layer
-    prev = m.nodes[in_idx].layer
-    in_ch = getattr(prev, "filters", None) or getattr(prev, "channels", None)
-    if in_ch is None:  # relu/add carry no channel info; walk back
-        j = in_idx
-        while in_ch is None:
-            j -= 1
-            lyr = m.nodes[j].layer
-            in_ch = getattr(lyr, "filters", None) or getattr(lyr, "channels", None)
     out_ch = width * 4
     a = m.add(f"{name}_conv1", L.Conv2D(width, 1, in_ch, stride=stride,
                                         padding=T.SAME_CEIL,
@@ -265,16 +251,18 @@ def build_resnet50(pooling: str, weights: str | None = None, seed: int = 0,
     m.add("stem_relu", L.ReLU())
     last = m.add("stem_pool", L.MaxPool2D(3, 2, T.SAME_CEIL))
     sidx = 10
+    in_ch = 64
     stages = ((2, 3, 64, 1), (3, 4, 128, 2), (4, 6, 256, 2), (5, 3, 512, 2))
     for stage, blocks, width, stride in stages:
         for b in range(1, blocks + 1):
-            last = _bottleneck(m, f"stage{stage}_block{b}", last, width,
+            last = _bottleneck(m, f"stage{stage}_block{b}", last, in_ch, width,
                                stride if b == 1 else 1, project=(b == 1),
                                seed=seed, sidx=sidx, dtype=dtype)
+            in_ch = width * 4
             sidx += 4
     m.backbone_len = len(m.nodes)
     for node in m.nodes:
-        L.set_trainable(node.layer, False)
+        node.layer.trainable = False
     # spatial chain 99 -> 50 -> 25 -> 25 -> 13 -> 7 -> 4
     _head(m, seed, channels=2048, spatial=4, start=500)
     if dtype is not T.DEFAULT_DTYPE:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import layers as L
 from .errors import ConfigError, OptimizerError
 from .models import Model, ModelConfig
 
@@ -115,7 +114,7 @@ def apply_phase(config: ModelConfig, model: Model, opt: Optimizer,
     the newly trainable parameters."""
     if phase == 1:
         for node in model.nodes[:model.backbone_len]:
-            L.set_trainable(node.layer, False)
+            node.layer.trainable = False
         opt.lr = config.lr_initial
         return opt
     if phase != 2:
@@ -124,6 +123,6 @@ def apply_phase(config: ModelConfig, model: Model, opt: Optimizer,
         raise ConfigError("phase 2 applies only to resnet50 configurations")
     start = max(model.backbone_len - FINETUNE_LAYER_COUNT, 0)
     for node in model.nodes[start:model.backbone_len]:
-        L.set_trainable(node.layer, True)
+        node.layer.trainable = True
     opt.lr = config.lr_finetune
     return opt

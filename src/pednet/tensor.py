@@ -1,4 +1,4 @@
-"""Dense tensor primitives: creation, shape inference, matmul, elementwise ops.
+"""Dense tensor primitives: creation, shape inference, padding, initializers.
 
 Tensors are numpy arrays in row-major order; feature maps use (batch, height,
 width, channels) layout. Training buffers are float32; a float64 "shadow"
@@ -107,10 +107,6 @@ def ones(shape, dtype=DEFAULT_DTYPE) -> np.ndarray:
     return np.ones(_validate_shape(shape), dtype=dtype)
 
 
-def constant(shape, value: float, dtype=DEFAULT_DTYPE) -> np.ndarray:
-    return np.full(_validate_shape(shape), value, dtype=dtype)
-
-
 def he_fan_in(shape: tuple[int, ...]) -> int:
     """Fan-in for He initialization: all axes but the last (output) one.
 
@@ -125,29 +121,3 @@ def he_normal(shape, seed: int, dtype=DEFAULT_DTYPE) -> np.ndarray:
     std = math.sqrt(2.0 / he_fan_in(shape))
     rng = np.random.Generator(np.random.PCG64(seed))
     return rng.normal(0.0, std, size=shape).astype(dtype)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rank-2 matrix product with explicit inner-extent check."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects rank-2 operands, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner extents differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def elementwise(op: str, a: np.ndarray, b) -> np.ndarray:
-    """Pointwise op; b may be a scalar, equal-shaped, or channel-broadcast."""
-    if not np.isscalar(b):
-        b = np.asarray(b)
-        if b.shape != a.shape and b.shape != a.shape[-1:]:
-            raise ShapeError(f"cannot broadcast {b.shape} onto {a.shape}")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "max_with_scalar":
-        return np.maximum(a, b)
-    raise ShapeError(f"unknown elementwise op {op!r}")

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import optim
-from .errors import DataError, MetricError, NumericError, ShapeError
+from . import checkpoint, optim
+from .errors import DataError, NumericError, ShapeError
 from .models import CLASS_NAMES, Model, ModelConfig
 
 
@@ -43,7 +43,8 @@ class EpochRecord:
 class History:
     records: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = -1
-    stop_reason: str = "max_epochs"
+    stop_reasons: list[str] = field(default_factory=list)  # one per phase
+    optimizer: optim.Optimizer | None = None  # the one that trained
 
     def to_csv(self) -> str:
         lines = ["epoch,phase,train_loss,train_acc,val_loss,val_acc,wall_seconds"]
@@ -51,7 +52,8 @@ class History:
             lines.append(f"{r.epoch},{r.phase},{r.train_loss:.9g},"
                          f"{r.train_acc:.9g},{r.val_loss:.9g},{r.val_acc:.9g},"
                          f"{r.wall_seconds:.3f}")
-        lines.append(f"# best_epoch={self.best_epoch} stop_reason={self.stop_reason}")
+        lines.append(f"# best_epoch={self.best_epoch} "
+                     f"stop_reasons={','.join(self.stop_reasons)}")
         return "\n".join(lines) + "\n"
 
 
@@ -61,14 +63,12 @@ class EarlyStopper:
     def __init__(self, patience: int):
         self.patience = patience
         self.best = np.inf
-        self.best_epoch = -1
         self.bad_epochs = 0
 
-    def update(self, epoch: int, value: float) -> bool:
+    def update(self, value: float) -> bool:
         """Record one epoch; returns True when training should stop."""
         if value < self.best:
             self.best = value
-            self.best_epoch = epoch
             self.bad_epochs = 0
             return False
         self.bad_epochs += 1
@@ -117,34 +117,23 @@ def _batches(n, batch_size):
         yield slice(start, min(start + batch_size, n))
 
 
+def predict(model: Model, x, batch_size=8):
+    """Eval-mode forward over x in batches: (softmax rows, logits)."""
+    probs, logits = [], []
+    for sl in _batches(len(x), batch_size):
+        probs.append(model.forward(x[sl], train=False))
+        logits.append(model.nodes[-1].layer.logits)
+    return np.concatenate(probs), np.concatenate(logits)
+
+
 def evaluate_arrays(model: Model, x, y_onehot, batch_size=8):
     """(mean loss, accuracy) over a split, batch-size independent."""
     if len(x) == 0:
         raise DataError("cannot evaluate an empty split")
-    total_loss = 0.0
-    correct = 0
-    for sl in _batches(len(x), batch_size):
-        probs = model.forward(x[sl], train=False)
-        logits = model.nodes[-1].layer.logits
-        loss, _ = cross_entropy_loss(probs, y_onehot[sl], logits=logits)
-        total_loss += loss * (sl.stop - sl.start)
-        correct += int((probs.argmax(axis=1) == y_onehot[sl].argmax(axis=1)).sum())
-    return total_loss / len(x), correct / len(x)
-
-
-def _snapshot(model: Model):
-    return ({name: layer.params[p].copy()
-             for name, layer, p in model.named_params()},
-            {name: layer.state[s].copy()
-             for name, layer, s in model.named_state()})
-
-
-def _restore(model: Model, snap):
-    params, state = snap
-    for name, layer, p in model.named_params():
-        layer.params[p] = params[name].copy()
-    for name, layer, s in model.named_state():
-        layer.state[s] = state[name].copy()
+    probs, logits = predict(model, x, batch_size)
+    loss, _ = cross_entropy_loss(probs, y_onehot, logits=logits)
+    correct = int((probs.argmax(axis=1) == y_onehot.argmax(axis=1)).sum())
+    return loss, correct / len(x)
 
 
 def train(model: Model, model_config: ModelConfig, config: TrainConfig,
@@ -167,7 +156,7 @@ def train(model: Model, model_config: ModelConfig, config: TrainConfig,
     for phase, max_epochs in phases:
         opt = optim.apply_phase(model_config, model, opt, phase)
         stopper = EarlyStopper(config.patience)
-        stopped = False
+        reason = "max_epochs"
         for _ in range(max_epochs):
             epoch += 1
             t0 = time.monotonic()
@@ -200,13 +189,14 @@ def train(model: Model, model_config: ModelConfig, config: TrainConfig,
                 val_loss, val_acc, time.monotonic() - t0))
             if val_loss < best_loss:
                 best_loss = val_loss
-                best_snap = _snapshot(model)
+                best_snap = {k: v.copy() for k, v in
+                             checkpoint.model_tensors(model).items()}
                 history.best_epoch = epoch
-            if stopper.update(epoch, val_loss):
-                stopped = True
+            if stopper.update(val_loss):
+                reason = "early_stop"
                 break
-        if stopped:
-            history.stop_reason = "early_stop"
+        history.stop_reasons.append(reason)
     if best_snap is not None:
-        _restore(model, best_snap)
+        checkpoint.assign_tensors(model, best_snap)
+    history.optimizer = opt
     return history

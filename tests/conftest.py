@@ -1,22 +1,9 @@
-import json
-import os
-
 import numpy as np
 import pytest
 
+from pednet.data import CLASS_COLORS, make_synthetic_corpus  # noqa: F401
 from pednet.models import CLASS_NAMES
 from pednet.train import one_hot
-
-# One distinctive solid color per demographic class, used by the synthetic
-# corpora throughout the suite.
-CLASS_COLORS = np.array([
-    [220, 30, 30],
-    [30, 220, 30],
-    [30, 30, 220],
-    [220, 220, 30],
-    [220, 30, 220],
-    [30, 220, 220],
-], dtype=np.float32)
 
 
 def synthetic_arrays(per_class=20, seed=42, noise=20.0):
@@ -31,49 +18,6 @@ def synthetic_arrays(per_class=20, seed=42, noise=20.0):
             ys.append(c)
     x = np.stack(xs) / np.float32(255.0)
     return x, one_hot(ys), np.asarray(ys)
-
-
-def make_synthetic_corpus(root, per_class_counts, frame_hw=(120, 160),
-                          seed=7, noise=12.0):
-    """Write frames + a COCO annotation file for a toy corpus.
-
-    Each frame holds a single class-colored pedestrian box on a gray
-    background. Returns (annotations path, frames dir).
-    """
-    from pednet.data import write_ppm
-
-    frames_dir = os.path.join(root, "frames")
-    os.makedirs(frames_dir, exist_ok=True)
-    rng = np.random.default_rng(seed)
-    h, w = frame_hw
-    images, annotations = [], []
-    ann_id = 1
-    for c, count in enumerate(per_class_counts):
-        for _ in range(count):
-            frame = np.full((h, w, 3), 110.0, np.float32)
-            bx = int(rng.integers(0, w - 60))
-            by = int(rng.integers(0, h - 80))
-            patch = (CLASS_COLORS[c]
-                     + rng.normal(0, noise, (80, 60, 3)).astype(np.float32))
-            frame[by:by + 80, bx:bx + 60] = np.clip(patch, 0, 255)
-            fname = f"frame_{ann_id:05d}.ppm"
-            write_ppm(os.path.join(frames_dir, fname), frame)
-            images.append({"id": ann_id, "file_name": fname,
-                           "width": w, "height": h})
-            annotations.append({"id": ann_id, "image_id": ann_id,
-                                "category_id": c,
-                                "bbox": [bx, by, 60, 80]})
-            ann_id += 1
-    doc = {
-        "images": images,
-        "annotations": annotations,
-        "categories": [{"id": c, "name": name}
-                       for c, name in enumerate(CLASS_NAMES)],
-    }
-    ann_path = os.path.join(root, "annotations.json")
-    with open(ann_path, "w", encoding="utf-8") as f:
-        json.dump(doc, f)
-    return ann_path, frames_dir
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from pednet import checkpoint as ckpt
 from pednet import cli, data
 
 from conftest import make_synthetic_corpus
@@ -103,6 +106,17 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "1,573,574" in out
 
+    def test_checkpoint_holds_trained_optimizer(self, trained, prepared):
+        model, cfg, opt, _ = ckpt.restore_model(trained)
+        n_train = len(data.read_manifest(prepared / "manifest.tsv")
+                      .split_samples("train"))
+        assert opt.t == 2 * -(-n_train // 8)  # two epochs of batch-8 steps
+        assert opt.lr == cfg.lr_initial  # model 8 has a single phase
+        trainable = [name for name, _, _ in
+                     model.named_params(trainable_only=True)]
+        assert sorted(opt.slots) == sorted(trainable)
+        assert all(set(s) == {"velocity"} for s in opt.slots.values())
+
 
 class TestEvaluate:
     def test_report_written(self, trained, capsys):
@@ -147,6 +161,33 @@ class TestInfer:
         rc = cli.main(["infer", "--checkpoint", str(trained), str(bad)])
         assert rc == 1
 
+    def test_batch_with_bad_image_matches_single_runs(self, trained, prepared,
+                                                      tmp_path, capsys):
+        manifest = data.read_manifest(prepared / "manifest.tsv")
+        good = [manifest.samples[0].path, manifest.samples[-1].path]
+        bad = tmp_path / "bad.ppm"
+        bad.write_bytes(b"not an image")
+        single = []
+        for image in good:
+            assert cli.main(["infer", "--checkpoint", str(trained),
+                             image]) == 0
+            single.append(capsys.readouterr().out.strip().split("\t"))
+        rc = cli.main(["infer", "--checkpoint", str(trained),
+                       good[0], str(bad), good[1]])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        err_lines = err.strip().split("\n")
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith(f"{bad}\terror: ")
+        lines = [line.split("\t") for line in out.strip().split("\n")]
+        assert [line[0] for line in lines] == good
+        for got, want in zip(lines, single):
+            assert got[1] == want[1]
+            # printed with six decimals: equal up to one unit in the last place
+            assert np.allclose([float(v) for v in got[2].split()],
+                               [float(v) for v in want[2].split()],
+                               rtol=0, atol=1e-6 + 1e-12)
+
 
 class TestConfigFile:
     def test_file_then_flag_precedence(self, tmp_path):
@@ -170,3 +211,19 @@ class TestConfigFile:
         cfg.write_text("no equals sign here\n")
         with pytest.raises(PednetError):
             cli.parse_config_file(cfg)
+
+
+class TestSyntheticExperimentScript:
+    def test_runs_with_only_src_on_path(self, tmp_path):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        work = tmp_path / "demo"
+        proc = subprocess.run(
+            [sys.executable,
+             os.path.join(root, "scripts", "run_synthetic_experiment.py"),
+             "--workdir", str(work), "--per-class", "5",
+             "--balance-target", "3", "--epochs", "1"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert (work / "model8.pdcn").exists()
+        assert (work / "model8_test_report.json").exists()

@@ -200,9 +200,9 @@ class TestParamCounts:
     def test_freeze_moves_counts(self):
         dense = L.Dense(4, 8, seed=0)
         tr, ntr = dense.param_count()
-        L.set_trainable(dense, False)
+        dense.trainable = False
         assert dense.param_count() == (0, tr + ntr)
-        L.set_trainable(dense, True)
+        dense.trainable = True
         assert dense.param_count() == (tr, ntr)
 
 

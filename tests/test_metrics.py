@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -299,7 +301,7 @@ class TestReport:
 
     def test_serialization_round_trip(self):
         report = self._report()
-        doc = metrics.report_from_json(metrics.report_to_json(report))
+        doc = json.loads(metrics.report_to_json(report))
         assert abs(doc["accuracy"] - report.accuracy) < 1e-9
         assert doc["confusion_matrix"] == report.confusion_matrix.tolist()
         for i, name in enumerate(CLASS_NAMES):

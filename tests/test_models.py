@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from pednet import layers as L
 from pednet import models
 from pednet.errors import ConfigError
 
@@ -76,7 +75,7 @@ class TestParameterCounts:
     def test_all_frozen_trainable_zero(self):
         model = models.build_custom_cnn("GAP", seed=0)
         for node in model.nodes:
-            L.set_trainable(node.layer, False)
+            node.layer.trainable = False
         _, total, trainable = model.summary()
         assert trainable == 0
         assert total == 524_998
@@ -84,7 +83,7 @@ class TestParameterCounts:
     def test_resnet_full_unfreeze(self):
         model = models.build_resnet50("MP", seed=0)
         for node in model.nodes:
-            L.set_trainable(node.layer, True)
+            node.layer.trainable = True
         _, total, trainable = model.summary()
         assert total == 27_785_606
         # non-trainable residue is exactly the moving statistics:

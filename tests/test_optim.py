@@ -40,7 +40,7 @@ class TestSGDMomentum:
 
     def test_frozen_parameter_untouched(self):
         model, dense = scalar_model(1.0)
-        L.set_trainable(dense, False)
+        dense.trainable = False
         dense.grads["weight"][:] = 123.0
         before = dense.params["weight"].tobytes()
         opt = optim.SGDMomentum(lr=0.5)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from pednet import tensor as T
@@ -14,9 +14,6 @@ class TestCreation:
         out = T.zeros([2, 3])
         assert out.shape == (2, 3)
         assert np.all(out == 0.0)
-
-    def test_constant_single(self):
-        assert T.constant([1], 5).tolist() == [5.0]
 
     def test_he_normal_std(self):
         # fan_in of a 3x3x3x32 kernel is 27
@@ -76,70 +73,6 @@ class TestOutExtent:
         spec = T.Shape2DSpec(extent, extent, stride, stride, stride,
                              T.VALID_FLOOR)
         assert T.infer_out_extent(spec)[0] == extent // stride
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.arange(9.0).reshape(3, 3)
-        assert np.array_equal(T.matmul(np.eye(3), m), m)
-
-    def test_zero(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(T.matmul(a, np.zeros((2, 1))), np.zeros((2, 1)))
-
-    def test_hand_case(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0], [6.0]])
-        assert T.matmul(a, b).tolist() == [[17.0], [39.0]]
-
-    def test_inner_mismatch(self):
-        with pytest.raises(ShapeError):
-            T.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_shadow_mode_matches_scalar_loop(self):
-        rng = np.random.default_rng(0)
-        a = rng.random((4, 4))
-        b = rng.random((4, 4))
-        got = T.matmul(a, b)
-        want = np.zeros((4, 4))
-        for i in range(4):
-            for j in range(4):
-                acc = 0.0
-                for k in range(4):
-                    acc += a[i, k] * b[k, j]
-                want[i, j] = acc
-        assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want))
-
-
-class TestElementwise:
-    def test_add_zero_identity(self):
-        x = np.random.default_rng(1).random((3, 4), dtype=np.float32)
-        assert np.array_equal(T.elementwise("add", x, np.zeros_like(x)), x)
-
-    def test_relu_semantics(self):
-        out = T.elementwise("max_with_scalar",
-                            np.array([-1.0, 0.0, 2.0]), 0.0)
-        assert out.tolist() == [0.0, 0.0, 2.0]
-
-    def test_mul(self):
-        out = T.elementwise("mul", np.array([2.0, 3.0]), np.array([4.0, 5.0]))
-        assert out.tolist() == [8.0, 15.0]
-
-    def test_channel_broadcast(self):
-        x = np.zeros((2, 3, 3, 4))
-        bias = np.arange(4.0)
-        out = T.elementwise("add", x, bias)
-        assert np.array_equal(out[0, 0, 0], bias)
-
-    def test_non_broadcastable(self):
-        with pytest.raises(ShapeError):
-            T.elementwise("add", np.zeros((2, 3)), np.zeros((5,)))
-
-    @settings(max_examples=50)
-    @given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=4))
-    def test_output_shape_pure_function(self, shape):
-        x = np.ones(shape)
-        assert T.elementwise("mul", x, 2.0).shape == tuple(shape)
 
 
 class TestFiniteness:

@@ -108,11 +108,11 @@ class TestEarlyStopping:
         stopped_at = None
         for epoch in range(1, 71):
             loss = losses.get(epoch, 0.5 + 0.01 * epoch)
-            if stopper.update(epoch, loss):
+            if stopper.update(loss):
                 stopped_at = epoch
                 break
         assert stopped_at == 13
-        assert stopper.best_epoch == 3
+        assert stopper.best == 0.5
 
     def test_restores_best_weights(self):
         cfg = models.registry_lookup(8)
@@ -204,6 +204,28 @@ class TestCheckpoint:
         _, total, trainable = restored.summary()
         assert (total, trainable) == (524_998, 524_038)
 
+    def test_backbone_weights_fill_backbone_only(self, tmp_path):
+        cfg = models.registry_lookup(1)
+        donor = models.build_model(cfg, seed=1)
+        path = tmp_path / "donor.pdcn"
+        ckpt.save_model(path, donor, cfg)
+        model = models.build_resnet50("GAP", weights=str(path), seed=2)
+        fresh = models.build_resnet50("GAP", seed=2)
+        backbone = {n.name for n in model.nodes[:model.backbone_len]}
+        got = ckpt.model_tensors(model)
+        init = ckpt.model_tensors(fresh)
+        for key, src in ckpt.model_tensors(donor).items():
+            node = key.split(":", 1)[1].split(".", 1)[0]
+            want = src if node in backbone else init[key]
+            assert np.array_equal(got[key], want), key
+
+    def test_backbone_weights_missing_tensor(self, tmp_path):
+        cfg = models.registry_lookup(8)
+        path = tmp_path / "custom.pdcn"
+        ckpt.save_model(path, models.build_model(cfg, seed=0), cfg)
+        with pytest.raises(CheckpointError, match="missing backbone tensor"):
+            models.build_resnet50("GAP", weights=str(path), seed=0)
+
     def test_restore_preserves_parameters(self, tmp_path):
         model, cfg, path = self._trained(tmp_path)
         restored, _, _, _ = ckpt.restore_model(path, seed=4)
@@ -239,3 +261,23 @@ class TestHistory:
         history = engine.train(model, cfg, tc, x, y, x, y)
         lines = history.to_csv().strip().split("\n")
         assert len(lines) == 1 + len(history.records) + 1  # header + trailer
+
+    def test_stop_reason_per_phase(self, monkeypatch):
+        # a resnet50 config drives two phases; the custom CNN keeps it fast
+        cfg = models.ModelConfig(1, "resnet50", "MP", "sgd_momentum",
+                                 1e-3, 1e-4)
+        model = models.build_custom_cnn("MP", seed=8)
+        x, y, _ = synthetic_arrays(per_class=1, seed=10)
+        # phase 1 stops after two worse epochs; phase 2 runs to its cap
+        val_losses = iter([1.0, 1.1, 1.2, 0.9, 0.8])
+        monkeypatch.setattr(engine, "evaluate_arrays",
+                            lambda *args: (next(val_losses), 0.0))
+        tc = TrainConfig(seed=8, max_epochs_phase1=5, max_epochs_phase2=2,
+                         patience=2)
+        history = engine.train(model, cfg, tc, x, y, x, y)
+        assert [r.phase for r in history.records] == [1, 1, 1, 2, 2]
+        assert history.stop_reasons == ["early_stop", "max_epochs"]
+        assert history.best_epoch == 5
+        assert history.optimizer.lr == cfg.lr_finetune
+        assert history.to_csv().endswith(
+            "# best_epoch=5 stop_reasons=early_stop,max_epochs\n")
