@@ -150,7 +150,8 @@ def restore_model(path, seed: int = 0):
     cfg_dict.pop("pretrained", None)
     config = ModelConfig(pretrained=None, **cfg_dict)
     model = build_model(config, seed=seed)
-    assign_tensors(model, data.tensors)
+    assign_tensors(model, _require(data.tensors, model_tensors(model),
+                                   f"{path}: missing tensor"))
     trainable = set(data.meta.get("trainable_nodes", []))
     for node in model.nodes:
         node.layer.trainable = node.name in trainable
@@ -166,16 +167,18 @@ def restore_model(path, seed: int = 0):
 
 
 def assign_tensors(model, tensors: dict[str, np.ndarray]):
+    """Copy the given tensors into the model's parameter and statistic
+    arrays in place, cast to their dtype."""
     for name, layer, pname in model.named_params():
         key = f"param:{name}"
         if key in tensors:
             _check_shape(key, tensors[key], layer.params[pname])
-            layer.params[pname] = tensors[key].astype(layer.params[pname].dtype)
+            layer.params[pname][...] = tensors[key]
     for name, layer, sname in model.named_state():
         key = f"state:{name}"
         if key in tensors:
             _check_shape(key, tensors[key], layer.state[sname])
-            layer.state[sname] = tensors[key].astype(layer.state[sname].dtype)
+            layer.state[sname][...] = tensors[key]
     model.zero_grads()
 
 
@@ -192,7 +195,14 @@ def load_backbone_weights(model, path):
     backbone = set(n.name for n in model.nodes[:model.backbone_len])
     keys = [k for k in model_tensors(model)
             if k.split(":", 1)[1].split(".", 1)[0] in backbone]
+    assign_tensors(model, _require(data.tensors, keys,
+                                   f"{path}: missing backbone tensor"))
+
+
+def _require(tensors, keys, message):
+    """The named tensors; CheckpointError (message + key) for the first
+    key absent from the file."""
     for key in keys:
-        if key not in data.tensors:
-            raise CheckpointError(f"missing backbone tensor {key}")
-    assign_tensors(model, {k: data.tensors[k] for k in keys})
+        if key not in tensors:
+            raise CheckpointError(f"{message} {key}")
+    return {k: tensors[k] for k in keys}

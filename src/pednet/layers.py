@@ -47,9 +47,9 @@ class Layer:
 
     kind = "layer"
 
-    def __init__(self):
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
+    def __init__(self, **params):
+        self.params: dict[str, np.ndarray] = params
+        self.grads = {k: np.zeros_like(p) for k, p in params.items()}
         self.state: dict[str, np.ndarray] = {}
         self.trainable = True
         self.cache = None
@@ -65,8 +65,9 @@ class Layer:
             raise StateError(f"{self.kind}: backward called before forward")
 
     def zero_grads(self):
-        for name, p in self.params.items():
-            self.grads[name] = np.zeros_like(p)
+        """Zero the gradient buffers in place, keeping their dtype."""
+        for g in self.grads.values():
+            g.fill(0)
 
     def param_count(self):
         """(trainable, non_trainable) scalar counts for the ledger."""
@@ -87,16 +88,15 @@ class Conv2D(Layer):
 
     def __init__(self, filters, kernel, in_channels, stride=1,
                  padding=T.SAME_PRESERVING, seed=0, dtype=T.DEFAULT_DTYPE):
-        super().__init__()
+        super().__init__(
+            weight=T.he_normal((kernel, kernel, in_channels, filters), seed,
+                               dtype),
+            bias=T.zeros((filters,), dtype))
         self.filters = filters
         self.kernel = kernel
         self.in_channels = in_channels
         self.stride = stride
         self.padding = padding
-        self.params["weight"] = T.he_normal(
-            (kernel, kernel, in_channels, filters), seed, dtype)
-        self.params["bias"] = T.zeros((filters,), dtype)
-        self.zero_grads()
 
     def forward(self, x, train=False, rng=None):
         if x.ndim != 4 or x.shape[3] != self.in_channels:
@@ -131,15 +131,13 @@ class BatchNorm(Layer):
 
     def __init__(self, channels, momentum=0.99, epsilon=1e-3,
                  dtype=T.DEFAULT_DTYPE):
-        super().__init__()
+        super().__init__(scale=T.ones((channels,), dtype),
+                         shift=T.zeros((channels,), dtype))
         self.channels = channels
         self.momentum = momentum
         self.epsilon = epsilon
-        self.params["scale"] = T.ones((channels,), dtype)
-        self.params["shift"] = T.zeros((channels,), dtype)
         self.state["moving_mean"] = T.zeros((channels,), dtype)
         self.state["moving_var"] = T.ones((channels,), dtype)
-        self.zero_grads()
 
     def forward(self, x, train=False, rng=None):
         if x.shape[-1] != self.channels:
@@ -170,7 +168,8 @@ class BatchNorm(Layer):
         g = upstream * self.params["scale"]
         if not train:
             return g * inv_std
-        m = np.prod([shape[a] for a in axes])
+        # in the data dtype: a numpy int64 count would promote float32 to float64
+        m = xhat.dtype.type(np.prod([shape[a] for a in axes]))
         # full batch-statistics derivative
         return (inv_std / m) * (m * g - g.sum(axis=axes)
                                 - xhat * (g * xhat).sum(axis=axes))
@@ -256,12 +255,10 @@ class Dense(Layer):
     kind = "dense"
 
     def __init__(self, units, in_features, seed=0, dtype=T.DEFAULT_DTYPE):
-        super().__init__()
+        super().__init__(weight=T.he_normal((in_features, units), seed, dtype),
+                         bias=T.zeros((units,), dtype))
         self.units = units
         self.in_features = in_features
-        self.params["weight"] = T.he_normal((in_features, units), seed, dtype)
-        self.params["bias"] = T.zeros((units,), dtype)
-        self.zero_grads()
 
     def forward(self, x, train=False, rng=None):
         if x.ndim != 2 or x.shape[1] != self.in_features:

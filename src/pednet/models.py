@@ -108,7 +108,17 @@ class Model:
         return outs[-1]
 
     def backward(self, upstream, at_logits=False):
-        """Backpropagate; at_logits injects the gradient below the softmax."""
+        """Backpropagate; at_logits injects the gradient below the softmax.
+
+        Accumulates into the `grads` of every layer from the output down to
+        the lowest node whose layer is trainable and has parameters, and
+        stops there: nodes below it are not visited and their `grads` are
+        not written. Inputs always precede their consumers in the node list,
+        so a gradient headed below that node could only reach layers without
+        trainable parameters. Freezing is a prefix of the node list (see
+        `build_resnet50` and `optim.apply_phase`), so no frozen layer's
+        `grads` are written.
+        """
         grads = [None] * len(self.nodes)
         if at_logits:
             last = self.nodes[-1]
@@ -117,7 +127,10 @@ class Model:
             grads[last.inputs[0]] = upstream
         else:
             grads[-1] = upstream
-        for idx in range(len(self.nodes) - 1, -1, -1):
+        lowest = next((i for i, node in enumerate(self.nodes)
+                       if node.layer.trainable and node.layer.params),
+                      len(self.nodes))
+        for idx in range(len(self.nodes) - 1, lowest - 1, -1):
             g = grads[idx]
             if g is None:
                 continue
@@ -126,14 +139,17 @@ class Model:
             if not isinstance(down, tuple):
                 down = (down,)
             for i, gi in zip(node.inputs, down):
-                if i != -1:
+                if i >= lowest:
                     grads[i] = gi if grads[i] is None else grads[i] + gi
 
     # -- parameters -------------------------------------------------------
 
     def zero_grads(self):
+        """Zero the trainable layers' gradient buffers in place; the
+        optimizer reads no other layer's `grads`."""
         for node in self.nodes:
-            node.layer.zero_grads()
+            if node.layer.trainable:
+                node.layer.zero_grads()
 
     def named_params(self, trainable_only=False):
         """Yield (qualified name, layer, param name) in topological order."""

@@ -207,6 +207,17 @@ class TestParamCounts:
 
 
 class TestBatchNormStatistics:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("train", [True, False])
+    def test_backward_keeps_dtype(self, dtype, train):
+        bn = L.BatchNorm(4, dtype=dtype)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((2, 3, 3, 4)).astype(dtype)
+        bn.forward(x, train=train)
+        dx = bn.backward(rng.standard_normal(x.shape).astype(dtype))
+        assert dx.dtype == dtype
+        assert all(g.dtype == dtype for g in bn.grads.values())
+
     def test_train_output_normalized(self):
         bn = L.BatchNorm(4, dtype=np.float64)
         x = np.random.default_rng(0).standard_normal((8, 5, 5, 4)) * 3 + 2

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from pednet import models
+from pednet import models, optim
 from pednet.errors import ConfigError
+from pednet.train import cross_entropy_loss, one_hot
 
 TABLE1_COUNTS = {
     1: (24_639_878, 1_052_166),
@@ -149,3 +150,127 @@ class TestBuildProperties:
         model.forward(x, train=False)
         gap_node = next(n for n in model.nodes if n.name == "head_gap")
         assert gap_node.layer.cache == (1, 4, 4, 2048)
+
+
+def _phase_model(case):
+    """(model, optimizer) with the trainable flags of one training setup."""
+    if case == "custom-frozen-prefix":
+        cfg = models.registry_lookup(8)
+        model = models.build_model(cfg, seed=0)
+        for node in model.nodes[:4]:  # block 1
+            node.layer.trainable = False
+        return model, optim.make_optimizer(cfg)
+    cfg = models.registry_lookup(1)
+    model = models.build_model(cfg, seed=0)
+    opt = optim.make_optimizer(cfg)
+    opt = optim.apply_phase(cfg, model, opt, 1)
+    if case == "resnet-phase2":
+        opt = optim.apply_phase(cfg, model, opt, 2)
+    return model, opt
+
+
+def _spy(model):
+    """Record every layer call as (node index, method, args, output)."""
+    calls = []
+    for idx, node in enumerate(model.nodes):
+        for method in ("forward", "backward"):
+            def spy(*args, _fn=getattr(node.layer, method), _idx=idx,
+                    _method=method, **kwargs):
+                out = _fn(*args, **kwargs)
+                calls.append((_idx, _method, args, out))
+                return out
+            setattr(node.layer, method, spy)
+    return calls
+
+
+def _forward_loss_grad(model, seed=0):
+    x = np.random.default_rng(seed).random((2, 99, 99, 3), np.float32)
+    probs = model.forward(x, train=True, rng=np.random.default_rng(seed))
+    _, g = cross_entropy_loss(probs, one_hot([0, 3]),
+                              logits=model.nodes[-1].layer.logits)
+    return g
+
+
+def _train_step(model, opt, seed=0):
+    g = _forward_loss_grad(model, seed)
+    model.zero_grads()
+    model.backward(g, at_logits=True)
+    opt.step(model)
+
+
+class TestBackward:
+    CASES = ["resnet-phase1", "resnet-phase2", "custom-frozen-prefix"]
+    # The lowest node whose layer is trainable and has parameters. Phase 2
+    # unfreezes the last 100 backbone nodes, from stage3_block4_bn2 on.
+    LOWEST = {"resnet-phase1": "head_dense1",
+              "resnet-phase2": "stage3_block4_bn2",
+              "custom-frozen-prefix": "block2_conv"}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_walk_stops_at_lowest_trainable_node(self, case):
+        model, opt = _phase_model(case)
+        names = [n.name for n in model.nodes]
+        lowest = names.index(self.LOWEST[case])
+        calls = _spy(model)
+        _train_step(model, opt)
+        walked = {idx for idx, method, _, _ in calls if method == "backward"}
+        # every node from the lowest trainable one up to the logits, no other
+        assert walked == set(range(lowest, len(model.nodes) - 1))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_pruned_grads_equal_full_walk(self, case):
+        model, _ = _phase_model(case)
+        g = _forward_loss_grad(model)
+        model.zero_grads()
+        model.backward(g, at_logits=True)
+        pruned = {(n.name, k): v.copy() for n in model.nodes
+                  if n.layer.trainable for k, v in n.layer.grads.items()}
+        assert pruned
+        for node in model.nodes:
+            node.layer.trainable = True
+        model.zero_grads()
+        model.backward(g, at_logits=True)
+        full = {(n.name, k): v for n in model.nodes
+                for k, v in n.layer.grads.items()}
+        for key, grad in pruned.items():
+            assert grad.tobytes() == full[key].tobytes(), key
+
+    @pytest.mark.parametrize("model_id,phases", [(8, (1,)), (1, (1, 2))])
+    def test_train_step_stays_float32(self, model_id, phases):
+        cfg = models.registry_lookup(model_id)
+        model = models.build_model(cfg, seed=0)
+        opt = optim.make_optimizer(cfg)
+        calls = _spy(model)
+        for phase in phases:
+            opt = optim.apply_phase(cfg, model, opt, phase)
+            del calls[:]
+            _train_step(model, opt, seed=phase)
+            for idx, method, args, out in calls:
+                outs = out if isinstance(out, tuple) else (out,)
+                for arr in args + outs:
+                    assert arr.dtype == np.float32, (
+                        phase, model.nodes[idx].name, method, arr.dtype)
+            for node in model.nodes:
+                layer = node.layer
+                for d in (layer.params, layer.grads, layer.state):
+                    for k, arr in d.items():
+                        assert arr.dtype == np.float32, (phase, node.name, k)
+            assert opt.slots
+            for name, slot in opt.slots.items():
+                for k, arr in slot.items():
+                    assert arr.dtype == np.float32, (phase, name, k)
+
+    def test_zero_grads_in_place_trainable_only(self):
+        model, _ = _phase_model("custom-frozen-prefix")
+        before = {}
+        for node in model.nodes:
+            for k, g in node.layer.grads.items():
+                g.fill(1)
+                before[(node.name, k)] = g
+        model.zero_grads()
+        for node in model.nodes:
+            for k, g in node.layer.grads.items():
+                assert g is before[(node.name, k)]
+                assert g.dtype == np.float32
+                assert np.all(g == (0 if node.layer.trainable else 1)), \
+                    node.name

@@ -226,6 +226,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="missing backbone tensor"):
             models.build_resnet50("GAP", weights=str(path), seed=0)
 
+    def test_restore_missing_tensor(self, tmp_path):
+        model, cfg, path = self._trained(tmp_path)
+        data = ckpt.read_checkpoint(path)
+        cut = tmp_path / "cut.pdcn"
+        ckpt.write_checkpoint(cut, data.meta, {
+            k: v for k, v in data.tensors.items()
+            if not k.startswith("param:block1_")})
+        with pytest.raises(CheckpointError,
+                           match="missing tensor param:block1_conv.weight"):
+            ckpt.restore_model(cut, seed=4)
+
     def test_restore_preserves_parameters(self, tmp_path):
         model, cfg, path = self._trained(tmp_path)
         restored, _, _, _ = ckpt.restore_model(path, seed=4)
