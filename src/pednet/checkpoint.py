@@ -140,7 +140,7 @@ def save_model(path, model, config, optimizer=None, history=None,
     write_checkpoint(path, meta, model_tensors(model, optimizer))
 
 
-def restore_model(path, seed: int = 0):
+def restore_model(path):
     """Rebuild (model, config, optimizer-or-None, meta) from a checkpoint."""
     from .models import ModelConfig, build_model
     from .optim import make_optimizer
@@ -149,7 +149,7 @@ def restore_model(path, seed: int = 0):
     cfg_dict = dict(data.meta.get("config", {}))
     cfg_dict.pop("pretrained", None)
     config = ModelConfig(pretrained=None, **cfg_dict)
-    model = build_model(config, seed=seed)
+    model = build_model(config)
     assign_tensors(model, _require(data.tensors, model_tensors(model),
                                    f"{path}: missing tensor"))
     trainable = set(data.meta.get("trainable_nodes", []))

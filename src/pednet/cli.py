@@ -34,6 +34,9 @@ _DEFAULTS = {
 
 
 def parse_config_file(path) -> dict:
+    """Settings from a `key = value` file, each key one of the defaults and
+    its value converted to the default's type; PednetError names the file
+    and line of the first bad one."""
     values = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -43,18 +46,22 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise PednetError(f"{path}:{lineno}: expected key = value")
             key, _, raw = line.partition("=")
-            values[key.strip()] = raw.strip()
+            key, raw = key.strip(), raw.strip()
+            if key not in _DEFAULTS:
+                raise PednetError(f"{path}:{lineno}: unknown key {key!r}")
+            kind = type(_DEFAULTS[key])
+            try:
+                values[key] = kind(raw)
+            except ValueError:
+                raise PednetError(f"{path}:{lineno}: {key} must be "
+                                  f"{kind.__name__}, got {raw!r}") from None
     return values
 
 
 def resolve_config(args) -> dict:
     cfg = dict(_DEFAULTS)
     if getattr(args, "config", None):
-        for key, raw in parse_config_file(args.config).items():
-            if key in cfg:
-                cfg[key] = type(_DEFAULTS[key])(raw)
-            else:
-                cfg[key] = raw
+        cfg.update(parse_config_file(args.config))
     for key in _DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:

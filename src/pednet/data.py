@@ -7,6 +7,7 @@ available. The manifest is a line-oriented TSV, one sample per line.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -175,25 +176,32 @@ def parse_coco(document) -> tuple[list[AnnotationRecord], int]:
 
 # -- crop and resize ------------------------------------------------------
 
+def _bilinear(image: np.ndarray, sy, sx) -> np.ndarray:
+    """Bilinear samples of an (H,W,C) image at the row/column coordinates
+    sy, sx, which broadcast together and lie in [0, H-1] x [0, W-1]."""
+    h, w = image.shape[:2]
+    y0 = np.floor(sy).astype(int)
+    x0 = np.floor(sx).astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (sy - y0)[..., None]
+    wx = (sx - x0)[..., None]
+    src = image.astype(np.float64)
+    top = src[y0, x0] * (1 - wx) + src[y0, x1] * wx
+    bot = src[y1, x0] * (1 - wx) + src[y1, x1] * wx
+    return (top * (1 - wy) + bot * wy).astype(image.dtype)
+
+
 def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Corner-aligned bilinear resample; identity sizes return a copy."""
     h, w = image.shape[:2]
     if (h, w) == (out_h, out_w):
         return image.copy()
-    src = image.astype(np.float64)
     ys = (np.linspace(0.0, h - 1, out_h) if out_h > 1
           else np.zeros(1))
     xs = (np.linspace(0.0, w - 1, out_w) if out_w > 1
           else np.zeros(1))
-    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
-    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0)[:, None, None]
-    wx = (xs - x0)[None, :, None]
-    top = src[y0][:, x0] * (1 - wx) + src[y0][:, x1] * wx
-    bot = src[y1][:, x0] * (1 - wx) + src[y1][:, x1] * wx
-    return (top * (1 - wy) + bot * wy).astype(image.dtype)
+    return _bilinear(image, ys[:, None], xs[None, :])
 
 
 def crop_and_resize(frame: np.ndarray, record: AnnotationRecord) -> np.ndarray:
@@ -273,18 +281,7 @@ def augment(image: np.ndarray, params: AugmentParams) -> np.ndarray:
                          np.arange(w, dtype=np.float64), indexing="ij")
     sx = inv[0, 0] * xx + inv[0, 1] * yy + inv[0, 2]
     sy = inv[1, 0] * xx + inv[1, 1] * yy + inv[1, 2]
-    sx = np.clip(sx, 0, w - 1)  # nearest-edge fill
-    sy = np.clip(sy, 0, h - 1)
-    x0 = np.floor(sx).astype(int)
-    y0 = np.floor(sy).astype(int)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    wx = (sx - x0)[..., None]
-    wy = (sy - y0)[..., None]
-    src = image.astype(np.float64)
-    top = src[y0, x0] * (1 - wx) + src[y0, x1] * wx
-    bot = src[y1, x0] * (1 - wx) + src[y1, x1] * wx
-    return (top * (1 - wy) + bot * wy).astype(image.dtype)
+    return _bilinear(image, np.clip(sy, 0, h - 1), np.clip(sx, 0, w - 1))
 
 
 # -- split and balance ----------------------------------------------------
@@ -407,19 +404,21 @@ def prepare_dataset(annotation_path, frames_dir, workdir,
     with open(annotation_path, "r", encoding="utf-8") as f:
         records, _ = parse_coco(f.read())
     crop_dir = os.path.join(workdir, "crops")
-    frames: dict[str, np.ndarray] = {}
     samples = []
-    for rec in records:
-        if rec.file_name not in frames:
-            frames[rec.file_name] = load_image(
-                os.path.join(frames_dir, rec.file_name))
-        crop = crop_and_resize(frames[rec.file_name], rec)
-        out_dir = os.path.join(crop_dir, class_slug(rec.class_name))
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, f"crop_{rec.ann_id:08d}.ppm")
-        write_ppm(path, crop)
-        samples.append(SampleRecord(path, rec.class_name, "train",
-                                    "original", rec.ann_id))
+    # frame by frame, so that one decoded frame is held at a time
+    by_frame = sorted(records, key=lambda r: (r.file_name, r.ann_id))
+    for file_name, recs in itertools.groupby(by_frame,
+                                             key=lambda r: r.file_name):
+        frame = load_image(os.path.join(frames_dir, file_name))
+        for rec in recs:
+            crop = crop_and_resize(frame, rec)
+            out_dir = os.path.join(crop_dir, class_slug(rec.class_name))
+            os.makedirs(out_dir, exist_ok=True)
+            path = os.path.join(out_dir, f"crop_{rec.ann_id:08d}.ppm")
+            write_ppm(path, crop)
+            samples.append(SampleRecord(path, rec.class_name, "train",
+                                        "original", rec.ann_id))
+        del frame  # before the next frame is decoded
     manifest = stratified_split(samples, ratios, seed)
     manifest = balance_train(manifest, target, seed,
                              os.path.join(workdir, "augmented"), ranges)
@@ -427,17 +426,16 @@ def prepare_dataset(annotation_path, frames_dir, workdir,
     return manifest
 
 
-def load_split_arrays(manifest: DatasetManifest, split: str,
-                      dtype=np.float32):
+def load_split_arrays(manifest: DatasetManifest, split: str):
     """(images scaled to [0,1], one-hot labels) for one split."""
     from .train import one_hot
 
     samples = manifest.split_samples(split)
     if not samples:
         raise DataError(f"split {split!r} is empty")
-    x = np.stack([load_image(s.path) for s in samples]).astype(dtype) / 255.0
-    y = one_hot([CLASS_NAMES.index(s.class_name) for s in samples],
-                dtype=dtype)
+    x = (np.stack([load_image(s.path) for s in samples]).astype(np.float32)
+         / 255.0)
+    y = one_hot([CLASS_NAMES.index(s.class_name) for s in samples])
     return x, y
 
 

@@ -75,13 +75,6 @@ class Layer:
         s = sum(v.size for v in self.state.values())
         return (p, s) if self.trainable else (0, p + s)
 
-    def astype(self, dtype):
-        """Cast parameters/state in place; used by the float64 shadow mode."""
-        for d in (self.params, self.grads, self.state):
-            for k in d:
-                d[k] = d[k].astype(dtype)
-        return self
-
 
 class Conv2D(Layer):
     kind = "conv2d"
@@ -91,7 +84,7 @@ class Conv2D(Layer):
         super().__init__(
             weight=T.he_normal((kernel, kernel, in_channels, filters), seed,
                                dtype),
-            bias=T.zeros((filters,), dtype))
+            bias=np.zeros((filters,), dtype))
         self.filters = filters
         self.kernel = kernel
         self.in_channels = in_channels
@@ -101,9 +94,8 @@ class Conv2D(Layer):
     def forward(self, x, train=False, rng=None):
         if x.ndim != 4 or x.shape[3] != self.in_channels:
             raise ShapeError(f"conv2d expects (N,H,W,{self.in_channels}), got {x.shape}")
-        spec = T.Shape2DSpec(x.shape[1], x.shape[2], self.kernel, self.kernel,
+        pads = T.pad_amounts(x.shape[1], x.shape[2], self.kernel,
                              self.stride, self.padding)
-        pads = T.pad_amounts(spec)
         col = _im2col(x, self.kernel, self.kernel, self.stride, pads)
         n, ho, wo = col.shape[:3]
         k = self.kernel * self.kernel * self.in_channels
@@ -131,13 +123,13 @@ class BatchNorm(Layer):
 
     def __init__(self, channels, momentum=0.99, epsilon=1e-3,
                  dtype=T.DEFAULT_DTYPE):
-        super().__init__(scale=T.ones((channels,), dtype),
-                         shift=T.zeros((channels,), dtype))
+        super().__init__(scale=np.ones((channels,), dtype),
+                         shift=np.zeros((channels,), dtype))
         self.channels = channels
         self.momentum = momentum
         self.epsilon = epsilon
-        self.state["moving_mean"] = T.zeros((channels,), dtype)
-        self.state["moving_var"] = T.ones((channels,), dtype)
+        self.state["moving_mean"] = np.zeros((channels,), dtype)
+        self.state["moving_var"] = np.ones((channels,), dtype)
 
     def forward(self, x, train=False, rng=None):
         if x.shape[-1] != self.channels:
@@ -199,9 +191,8 @@ class MaxPool2D(Layer):
     def forward(self, x, train=False, rng=None):
         if x.ndim != 4:
             raise ShapeError(f"maxpool2d expects rank-4 input, got {x.shape}")
-        spec = T.Shape2DSpec(x.shape[1], x.shape[2], self.kernel, self.kernel,
+        pads = T.pad_amounts(x.shape[1], x.shape[2], self.kernel,
                              self.stride, self.padding)
-        pads = T.pad_amounts(spec)
         col = _im2col(x, self.kernel, self.kernel, self.stride, pads,
                       pad_value=-np.inf)
         n, ho, wo = col.shape[:3]
@@ -256,7 +247,7 @@ class Dense(Layer):
 
     def __init__(self, units, in_features, seed=0, dtype=T.DEFAULT_DTYPE):
         super().__init__(weight=T.he_normal((in_features, units), seed, dtype),
-                         bias=T.zeros((units,), dtype))
+                         bias=np.zeros((units,), dtype))
         self.units = units
         self.in_features = in_features
 

@@ -173,11 +173,6 @@ class Model:
         trainable = sum(e.trainable for e in ledger)
         return ledger, total, trainable
 
-    def astype(self, dtype):
-        for node in self.nodes:
-            node.layer.astype(dtype)
-        return self
-
 
 def _head(model: Model, seed: int, channels: int, spatial: int, start: int):
     """Pooling head + dense-512 + dropout + dense-6 + softmax."""
@@ -197,8 +192,7 @@ def _head(model: Model, seed: int, channels: int, spatial: int, start: int):
     model.add("head_softmax", L.Softmax())
 
 
-def build_custom_cnn(pooling: str, seed: int = 0,
-                     dtype=T.DEFAULT_DTYPE) -> Model:
+def build_custom_cnn(pooling: str, seed: int = 0) -> Model:
     """Four conv blocks (32/64/128/256) then the pooling-specific head."""
     if pooling not in ("GAP", "MP"):
         raise ConfigError(f"pooling must be GAP or MP, got {pooling!r}")
@@ -207,63 +201,57 @@ def build_custom_cnn(pooling: str, seed: int = 0,
     for b, filters in enumerate((32, 64, 128, 256), start=1):
         m.add(f"block{b}_conv", L.Conv2D(filters, 3, in_ch, stride=1,
                                          padding=T.SAME_PRESERVING,
-                                         seed=_layer_seed(seed, b),
-                                         dtype=dtype))
-        m.add(f"block{b}_bn", L.BatchNorm(filters, dtype=dtype))
+                                         seed=_layer_seed(seed, b)))
+        m.add(f"block{b}_bn", L.BatchNorm(filters))
         m.add(f"block{b}_relu", L.ReLU())
         m.add(f"block{b}_pool", L.MaxPool2D(2, 2, T.VALID_FLOOR))
         in_ch = filters
     # spatial chain 99 -> 49 -> 24 -> 12 -> 6
     _head(m, seed, channels=256, spatial=6, start=100)
-    if dtype is not T.DEFAULT_DTYPE:
-        m.astype(dtype)
     return m
 
 
 def _bottleneck(m: Model, name: str, in_idx: int, in_ch: int, width: int,
-                stride: int, project: bool, seed: int, sidx: int, dtype) -> int:
+                stride: int, project: bool, seed: int, sidx: int) -> int:
     """Post-activation bottleneck: 1x1/s -> 3x3 -> 1x1 (x4), optional
     projection shortcut, elementwise add, relu. Returns the output node."""
     out_ch = width * 4
     a = m.add(f"{name}_conv1", L.Conv2D(width, 1, in_ch, stride=stride,
                                         padding=T.SAME_CEIL,
-                                        seed=_layer_seed(seed, sidx),
-                                        dtype=dtype), [in_idx])
-    a = m.add(f"{name}_bn1", L.BatchNorm(width, dtype=dtype), [a])
+                                        seed=_layer_seed(seed, sidx)), [in_idx])
+    a = m.add(f"{name}_bn1", L.BatchNorm(width), [a])
     a = m.add(f"{name}_relu1", L.ReLU(), [a])
     a = m.add(f"{name}_conv2", L.Conv2D(width, 3, width, stride=1,
                                         padding=T.SAME_PRESERVING,
-                                        seed=_layer_seed(seed, sidx + 1),
-                                        dtype=dtype), [a])
-    a = m.add(f"{name}_bn2", L.BatchNorm(width, dtype=dtype), [a])
+                                        seed=_layer_seed(seed, sidx + 1)), [a])
+    a = m.add(f"{name}_bn2", L.BatchNorm(width), [a])
     a = m.add(f"{name}_relu2", L.ReLU(), [a])
     a = m.add(f"{name}_conv3", L.Conv2D(out_ch, 1, width, stride=1,
                                         padding=T.SAME_CEIL,
-                                        seed=_layer_seed(seed, sidx + 2),
-                                        dtype=dtype), [a])
-    a = m.add(f"{name}_bn3", L.BatchNorm(out_ch, dtype=dtype), [a])
+                                        seed=_layer_seed(seed, sidx + 2)), [a])
+    a = m.add(f"{name}_bn3", L.BatchNorm(out_ch), [a])
     if project:
         s = m.add(f"{name}_proj_conv", L.Conv2D(out_ch, 1, in_ch, stride=stride,
                                                 padding=T.SAME_CEIL,
-                                                seed=_layer_seed(seed, sidx + 3),
-                                                dtype=dtype), [in_idx])
-        s = m.add(f"{name}_proj_bn", L.BatchNorm(out_ch, dtype=dtype), [s])
+                                                seed=_layer_seed(seed, sidx + 3)),
+                  [in_idx])
+        s = m.add(f"{name}_proj_bn", L.BatchNorm(out_ch), [s])
     else:
         s = in_idx
     a = m.add(f"{name}_add", L.Add(), [a, s])
     return m.add(f"{name}_relu_out", L.ReLU(), [a])
 
 
-def build_resnet50(pooling: str, weights: str | None = None, seed: int = 0,
-                   dtype=T.DEFAULT_DTYPE) -> Model:
+def build_resnet50(pooling: str, weights: str | None = None,
+                   seed: int = 0) -> Model:
     """50-layer residual backbone (stages 3/4/6/3, widths 64/128/256/512 x4)
     plus the classification head; backbone starts frozen."""
     if pooling not in ("GAP", "MP"):
         raise ConfigError(f"pooling must be GAP or MP, got {pooling!r}")
     m = Model("resnet50", pooling)
     m.add("stem_conv", L.Conv2D(64, 7, 3, stride=2, padding=T.SAME_CEIL,
-                                seed=_layer_seed(seed, 0), dtype=dtype))
-    m.add("stem_bn", L.BatchNorm(64, dtype=dtype))
+                                seed=_layer_seed(seed, 0)))
+    m.add("stem_bn", L.BatchNorm(64))
     m.add("stem_relu", L.ReLU())
     last = m.add("stem_pool", L.MaxPool2D(3, 2, T.SAME_CEIL))
     sidx = 10
@@ -273,7 +261,7 @@ def build_resnet50(pooling: str, weights: str | None = None, seed: int = 0,
         for b in range(1, blocks + 1):
             last = _bottleneck(m, f"stage{stage}_block{b}", last, in_ch, width,
                                stride if b == 1 else 1, project=(b == 1),
-                               seed=seed, sidx=sidx, dtype=dtype)
+                               seed=seed, sidx=sidx)
             in_ch = width * 4
             sidx += 4
     m.backbone_len = len(m.nodes)
@@ -281,18 +269,16 @@ def build_resnet50(pooling: str, weights: str | None = None, seed: int = 0,
         node.layer.trainable = False
     # spatial chain 99 -> 50 -> 25 -> 25 -> 13 -> 7 -> 4
     _head(m, seed, channels=2048, spatial=4, start=500)
-    if dtype is not T.DEFAULT_DTYPE:
-        m.astype(dtype)
     if weights is not None:
         from .checkpoint import load_backbone_weights
         load_backbone_weights(m, weights)
     return m
 
 
-def build_model(config: ModelConfig, seed: int = 0, dtype=T.DEFAULT_DTYPE) -> Model:
+def build_model(config: ModelConfig, seed: int = 0) -> Model:
     if config.architecture == "custom":
-        return build_custom_cnn(config.pooling, seed=seed, dtype=dtype)
+        return build_custom_cnn(config.pooling, seed=seed)
     if config.architecture == "resnet50":
         return build_resnet50(config.pooling, weights=config.pretrained,
-                              seed=seed, dtype=dtype)
+                              seed=seed)
     raise ConfigError(f"unknown architecture {config.architecture!r}")

@@ -47,9 +47,9 @@ class Optimizer:
         """Apply one update to every trainable parameter of the model."""
         self.t += 1
         for name, layer, pname in model.named_params(trainable_only=True):
-            self._update(name, layer.params[pname], layer.grads[pname], layer)
+            self._update(name, layer.params[pname], layer.grads[pname])
 
-    def _update(self, name, param, grad, layer):
+    def _update(self, name, param, grad):
         raise NotImplementedError
 
 
@@ -61,7 +61,7 @@ class SGDMomentum(Optimizer):
         super().__init__(lr)
         self.momentum = momentum
 
-    def _update(self, name, param, grad, layer):
+    def _update(self, name, param, grad):
         if grad.shape != param.shape:
             raise OptimizerError(f"gradient shape mismatch for {name}")
         v = self._slot(name, param)["velocity"]
@@ -81,7 +81,7 @@ class Adam(Optimizer):
         self.beta2 = beta2
         self.epsilon = epsilon
 
-    def _update(self, name, param, grad, layer):
+    def _update(self, name, param, grad):
         if grad.shape != param.shape:
             raise OptimizerError(f"gradient shape mismatch for {name}")
         dt = param.dtype.type

@@ -19,7 +19,6 @@ class TrainConfig:
     max_epochs_phase1: int = 70
     max_epochs_phase2: int = 30
     patience: int = 10
-    monitor: str = "val_loss"
 
     def __post_init__(self):
         if self.batch_size < 1:

@@ -253,7 +253,7 @@ def test_a7_determinism(tmp_path):
 
         # save -> load -> save round-trips byte for byte
         first = tmp_path / "run0.pdcn"
-        restored, cfg2, opt2, _ = ckpt.restore_model(first, seed=0)
+        restored, cfg2, opt2, _ = ckpt.restore_model(first)
         resaved = tmp_path / "resave.pdcn"
         ckpt.write_checkpoint(resaved, ckpt.read_checkpoint(first).meta,
                               ckpt.model_tensors(restored, opt2))

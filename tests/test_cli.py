@@ -212,6 +212,20 @@ class TestConfigFile:
         with pytest.raises(PednetError):
             cli.parse_config_file(cfg)
 
+    @pytest.mark.parametrize("line, message", [
+        ("epoch = 5", "unknown key 'epoch'"),
+        ("batch_size = eight", "batch_size must be int, got 'eight'"),
+    ], ids=["unknown_key", "non_numeric"])
+    def test_bad_entry_names_file_and_line(self, tmp_path, capsys, line,
+                                           message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 1\n{line}\n")
+        rc = cli.main(["prepare", "--config", str(cfg), "--annotations",
+                       str(tmp_path / "a.json"), "--frames", str(tmp_path),
+                       "--workdir", str(tmp_path / "w")])
+        assert rc == 2
+        assert f"error: {cfg}:2: {message}" in capsys.readouterr().err
+
 
 class TestSyntheticExperimentScript:
     def test_runs_with_only_src_on_path(self, tmp_path):

@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -347,3 +349,42 @@ class TestPrepareDataset:
         # every referenced crop exists and decodes at 99x99
         for s in manifest.samples[:5]:
             assert data.load_image(s.path).shape == (99, 99, 3)
+
+    def test_holds_one_frame_at_a_time(self, tmp_path, monkeypatch):
+        # three frames with six pedestrians each; annotation ids alternate
+        # between the frames, so id order revisits every frame six times
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        rng = np.random.default_rng(0)
+        images, anns = [], []
+        for f in range(3):
+            data.write_ppm(frames / f"f{f}.ppm",
+                           rng.integers(0, 256, (40, 200, 3)))
+            images.append({"id": f, "file_name": f"f{f}.ppm"})
+        for k in range(18):
+            anns.append({"id": k + 1, "image_id": k % 3,
+                         "category_id": k // 3,
+                         "bbox": [30 * (k // 3), 5, 20, 30]})
+        ann = tmp_path / "ann.json"
+        ann.write_text(coco_doc(anns, images=images))
+
+        real_load = data.load_image
+        alive = []
+
+        def load_image(path):
+            if os.path.dirname(str(path)) == str(frames):
+                gc.collect()
+                assert all(ref() is None for ref in alive), \
+                    f"an earlier frame is still held when loading {path}"
+                image = real_load(path)
+                alive.append(weakref.ref(image))
+                return image
+            return real_load(path)
+
+        monkeypatch.setattr(data, "load_image", load_image)
+        work = tmp_path / "work"
+        manifest = data.prepare_dataset(str(ann), str(frames), str(work),
+                                        target=2, seed=0)
+        assert len(alive) == 3
+        assert sorted(s.source_id for s in manifest.samples) == \
+            list(range(1, 19))

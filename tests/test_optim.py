@@ -159,7 +159,7 @@ class TestStateRoundTrip:
             opt.step(model)
         path = tmp_path / "m.pdcn"
         ckpt.save_model(path, model, cfg, optimizer=opt)
-        _, _, opt2, _ = ckpt.restore_model(path, seed=3)
+        _, _, opt2, _ = ckpt.restore_model(path)
         assert opt2.t == opt.t
         assert opt2.lr == opt.lr
         for name, slot in opt.slots.items():

@@ -160,7 +160,7 @@ class TestCheckpoint:
     def test_save_load_save_byte_identical(self, tmp_path):
         model, cfg, path = self._trained(tmp_path)
         first = path.read_bytes()
-        restored, cfg2, opt2, meta = ckpt.restore_model(path, seed=4)
+        restored, cfg2, opt2, meta = ckpt.restore_model(path)
         path2 = tmp_path / "again.pdcn"
         ckpt.save_model(path2, restored, cfg2, optimizer=opt2)
         # strip the history fields absent on re-save for a fair comparison
@@ -175,7 +175,7 @@ class TestCheckpoint:
         from pednet import optim
 
         model, cfg, path = self._trained(tmp_path)
-        restored, cfg2, opt2, meta = ckpt.restore_model(path, seed=4)
+        restored, cfg2, opt2, meta = ckpt.restore_model(path)
         path2 = tmp_path / "resave.pdcn"
         ckpt.write_checkpoint(path2, ckpt.read_checkpoint(path).meta,
                               ckpt.model_tensors(restored, opt2))
@@ -200,7 +200,7 @@ class TestCheckpoint:
         model = models.build_model(cfg, seed=1)
         path = tmp_path / "m5.pdcn"
         ckpt.save_model(path, model, cfg)
-        restored, _, _, _ = ckpt.restore_model(path, seed=1)
+        restored, _, _, _ = ckpt.restore_model(path)
         _, total, trainable = restored.summary()
         assert (total, trainable) == (524_998, 524_038)
 
@@ -235,11 +235,11 @@ class TestCheckpoint:
             if not k.startswith("param:block1_")})
         with pytest.raises(CheckpointError,
                            match="missing tensor param:block1_conv.weight"):
-            ckpt.restore_model(cut, seed=4)
+            ckpt.restore_model(cut)
 
     def test_restore_preserves_parameters(self, tmp_path):
         model, cfg, path = self._trained(tmp_path)
-        restored, _, _, _ = ckpt.restore_model(path, seed=4)
+        restored, _, _, _ = ckpt.restore_model(path)
         for (name, layer, p), (_, rlayer, rp) in zip(
                 model.named_params(), restored.named_params()):
             assert np.array_equal(layer.params[p], rlayer.params[rp]), name
