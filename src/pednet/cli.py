@@ -37,8 +37,12 @@ def parse_config_file(path) -> dict:
     """Settings from a `key = value` file, each key one of the defaults and
     its value converted to the default's type; PednetError names the file
     and line of the first bad one."""
+    try:
+        f = open(path, "r", encoding="utf-8")
+    except OSError as e:
+        raise PednetError(f"{path}: {e.strerror}") from None
     values = {}
-    with open(path, "r", encoding="utf-8") as f:
+    with f:
         for lineno, line in enumerate(f, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

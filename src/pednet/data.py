@@ -433,8 +433,14 @@ def load_split_arrays(manifest: DatasetManifest, split: str):
     samples = manifest.split_samples(split)
     if not samples:
         raise DataError(f"split {split!r} is empty")
-    x = (np.stack([load_image(s.path) for s in samples]).astype(np.float32)
-         / 255.0)
+    x = np.empty((len(samples), CROP_SIZE, CROP_SIZE, 3), np.float32)
+    for i, s in enumerate(samples):
+        img = load_image(s.path)
+        if img.shape != x.shape[1:]:
+            raise DataError(f"{s.path}: expected a {CROP_SIZE}x{CROP_SIZE} "
+                            f"RGB crop, got shape {img.shape}")
+        x[i] = img
+    x /= 255.0
     y = one_hot([CLASS_NAMES.index(s.class_name) for s in samples])
     return x, y
 

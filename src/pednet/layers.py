@@ -7,26 +7,21 @@ forward cache used by backward. Feature maps are (N, H, W, C) float arrays.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
 from .errors import ShapeError, StateError
 
 
-def _im2col(x, kh, kw, stride, pads, pad_value=0.0):
-    """Window-extract a (N,H,W,C) map into (N,Ho,Wo,kh,kw,C)."""
+def _im2col(x, k, stride, pads, pad_value=0.0):
+    """Window view of a (N,H,W,C) map as (N,Ho,Wo,k,k,C); only padding
+    copies."""
     (pt, pb), (pl, pr) = pads
     if pt or pb or pl or pr:
         x = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)),
                    constant_values=pad_value)
-    n, hp, wp, c = x.shape
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    col = np.empty((n, ho, wo, kh, kw, c), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            col[:, :, :, i, j, :] = x[:, i:i + ho * stride:stride,
-                                      j:j + wo * stride:stride, :]
-    return col
+    win = sliding_window_view(x, (k, k), axis=(1, 2))
+    return win[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
 
 
 def _col2im(col, in_shape, stride, pads):
@@ -96,25 +91,23 @@ class Conv2D(Layer):
             raise ShapeError(f"conv2d expects (N,H,W,{self.in_channels}), got {x.shape}")
         pads = T.pad_amounts(x.shape[1], x.shape[2], self.kernel,
                              self.stride, self.padding)
-        col = _im2col(x, self.kernel, self.kernel, self.stride, pads)
-        n, ho, wo = col.shape[:3]
-        k = self.kernel * self.kernel * self.in_channels
-        w2 = self.params["weight"].reshape(k, self.filters)
-        y = col.reshape(n * ho * wo, k) @ w2 + self.params["bias"]
-        self.cache = (col, x.shape, pads)
-        return y.reshape(n, ho, wo, self.filters)
+        col = _im2col(x, self.kernel, self.stride, pads)
+        w2 = self.params["weight"].reshape(-1, self.filters)
+        # a view of x for 1x1 stride 1: relies on no layer writing its input
+        col2 = col.reshape(-1, w2.shape[0])
+        self.cache = (col2, x.shape, pads)
+        y = col2 @ w2 + self.params["bias"]
+        return y.reshape(*col.shape[:3], self.filters)
 
     def backward(self, upstream):
         self._require_cache()
-        col, in_shape, pads = self.cache
-        n, ho, wo = col.shape[:3]
-        k = self.kernel * self.kernel * self.in_channels
-        g2 = upstream.reshape(n * ho * wo, self.filters)
-        col2 = col.reshape(n * ho * wo, k)
+        col2, in_shape, pads = self.cache
+        w2 = self.params["weight"].reshape(-1, self.filters)
+        g2 = upstream.reshape(-1, self.filters)
         self.grads["weight"] += (col2.T @ g2).reshape(self.params["weight"].shape)
         self.grads["bias"] += g2.sum(axis=0)
-        dcol = (g2 @ self.params["weight"].reshape(k, self.filters).T)
-        dcol = dcol.reshape(n, ho, wo, self.kernel, self.kernel, self.in_channels)
+        dcol = (g2 @ w2.T).reshape(*upstream.shape[:3], self.kernel,
+                                   self.kernel, self.in_channels)
         return _col2im(dcol, in_shape, self.stride, pads)
 
 
@@ -193,24 +186,20 @@ class MaxPool2D(Layer):
             raise ShapeError(f"maxpool2d expects rank-4 input, got {x.shape}")
         pads = T.pad_amounts(x.shape[1], x.shape[2], self.kernel,
                              self.stride, self.padding)
-        col = _im2col(x, self.kernel, self.kernel, self.stride, pads,
-                      pad_value=-np.inf)
-        n, ho, wo = col.shape[:3]
-        c = x.shape[3]
-        flat = col.reshape(n, ho, wo, self.kernel * self.kernel, c)
-        arg = flat.argmax(axis=3)  # first max wins: deterministic routing
-        out = np.take_along_axis(flat, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-        self.cache = (arg, flat.shape, x.shape, pads)
-        return out
+        col = _im2col(x, self.kernel, self.stride, pads, pad_value=-np.inf)
+        flat = col.reshape(*col.shape[:3], -1, x.shape[3])
+        # first max wins: deterministic routing
+        self.cache = (flat.argmax(axis=3), x.shape, pads)
+        return flat.max(axis=3)
 
     def backward(self, upstream):
         self._require_cache()
-        arg, flat_shape, in_shape, pads = self.cache
-        dflat = np.zeros(flat_shape, dtype=upstream.dtype)
-        np.put_along_axis(dflat, arg[:, :, :, None, :],
-                          upstream[:, :, :, None, :], axis=3)
-        n, ho, wo = flat_shape[:3]
-        dcol = dflat.reshape(n, ho, wo, self.kernel, self.kernel, in_shape[3])
+        arg, in_shape, pads = self.cache
+        window = np.arange(self.kernel * self.kernel)[:, None]
+        dflat = np.where(arg[:, :, :, None] == window,
+                         upstream[:, :, :, None], 0)
+        dcol = dflat.reshape(*upstream.shape[:3], self.kernel, self.kernel,
+                             in_shape[3])
         return _col2im(dcol, in_shape, self.stride, pads)
 
 

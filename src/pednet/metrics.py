@@ -92,22 +92,19 @@ def aggregate(metrics: PerClassMetrics) -> tuple[dict, dict]:
     return macro, weighted
 
 
-def pr_curve(scores, y_true, class_index: int,
-             validate_rows: bool = True) -> PRCurve:
+def pr_curve(scores, y_true, class_index: int) -> PRCurve:
     """One-vs-rest precision/recall sweep over descending score thresholds.
 
     Average precision is the step integral sum((R_k - R_{k-1}) * P_k); for a
     class with no positives it is None. AP depends only on the ranking of
-    the class column, so validate_rows=False admits monotonically
-    transformed scores that no longer sum to 1.
+    the class column, so monotonically transformed scores that no longer
+    sum to 1 give the same AP.
     """
     scores = np.asarray(scores, dtype=float)
     y_true = np.asarray(y_true, dtype=int)
     if scores.ndim != 2 or scores.shape[1] != NUM_CLASSES \
             or scores.shape[0] != len(y_true):
         raise MetricError(f"scores must be (N,{NUM_CLASSES}) matching y_true")
-    if validate_rows and np.any(np.abs(scores.sum(axis=1) - 1.0) > 1e-5):
-        raise MetricError("score rows must sum to 1 within 1e-5")
     s = scores[:, class_index]
     pos = (y_true == class_index)
     n_pos = int(pos.sum())
@@ -149,6 +146,8 @@ def build_report(model_id: int, predictions, y_true) -> MetricsReport:
     """
     predictions = np.asarray(predictions, dtype=float)
     y_true = np.asarray(y_true, dtype=int)
+    if np.any(np.abs(predictions.sum(axis=1) - 1.0) > 1e-5):
+        raise MetricError("prediction rows must sum to 1 within 1e-5")
     y_pred = predictions.argmax(axis=1)  # argmax takes the first (lowest) max
     cm = confusion(y_true, y_pred)
     pcm = per_class(cm)

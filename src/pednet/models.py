@@ -107,8 +107,8 @@ class Model:
             outs.append(y)
         return outs[-1]
 
-    def backward(self, upstream, at_logits=False):
-        """Backpropagate; at_logits injects the gradient below the softmax.
+    def backward(self, upstream):
+        """Backpropagate the loss gradient at the logits (the softmax input).
 
         Accumulates into the `grads` of every layer from the output down to
         the lowest node whose layer is trainable and has parameters, and
@@ -119,14 +119,11 @@ class Model:
         `build_resnet50` and `optim.apply_phase`), so no frozen layer's
         `grads` are written.
         """
+        last = self.nodes[-1]
+        if last.layer.kind != "softmax":
+            raise ShapeError("backward requires a softmax output layer")
         grads = [None] * len(self.nodes)
-        if at_logits:
-            last = self.nodes[-1]
-            if last.layer.kind != "softmax":
-                raise ShapeError("at_logits requires a softmax output layer")
-            grads[last.inputs[0]] = upstream
-        else:
-            grads[-1] = upstream
+        grads[last.inputs[0]] = upstream
         lowest = next((i for i, node in enumerate(self.nodes)
                        if node.layer.trainable and node.layer.params),
                       len(self.nodes))

@@ -161,30 +161,30 @@ def train(model: Model, model_config: ModelConfig, config: TrainConfig,
             t0 = time.monotonic()
             order = _sub_rng(config.seed, 1, phase, epoch).permutation(len(x_train))
             drop_rng = _sub_rng(config.seed, 2, phase, epoch)
-            xs, ys = x_train[order], y_train[order]
             run_loss = 0.0
             correct = 0
-            for bi, sl in enumerate(_batches(len(xs), config.batch_size)):
+            for bi, sl in enumerate(_batches(len(x_train), config.batch_size)):
+                xb, yb = x_train[order[sl]], y_train[order[sl]]
                 try:
-                    probs = model.forward(xs[sl], train=True, rng=drop_rng)
+                    probs = model.forward(xb, train=True, rng=drop_rng)
                     logits = model.nodes[-1].layer.logits
-                    loss, dlogits = cross_entropy_loss(probs, ys[sl],
+                    loss, dlogits = cross_entropy_loss(probs, yb,
                                                        logits=logits)
                     if not np.isfinite(loss):
                         raise NumericError("non-finite loss")
                     model.zero_grads()
-                    model.backward(dlogits, at_logits=True)
+                    model.backward(dlogits)
                     opt.step(model)
                 except NumericError as e:
                     raise NumericError(
                         f"{e} at epoch {epoch}, batch {bi}") from e
                 run_loss += loss * (sl.stop - sl.start)
                 correct += int((probs.argmax(axis=1)
-                                == ys[sl].argmax(axis=1)).sum())
+                                == yb.argmax(axis=1)).sum())
             val_loss, val_acc = evaluate_arrays(model, x_val, y_val,
                                                 config.batch_size)
             history.records.append(EpochRecord(
-                epoch, phase, run_loss / len(xs), correct / len(xs),
+                epoch, phase, run_loss / len(x_train), correct / len(x_train),
                 val_loss, val_acc, time.monotonic() - t0))
             if val_loss < best_loss:
                 best_loss = val_loss

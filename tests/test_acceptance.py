@@ -148,7 +148,7 @@ def test_a5_pr_auc_properties():
             yy = rng.integers(0, 6, n)
             yy[0] = 0  # keep class 0 populated
             ss = rng.random((n, 6))
-            base = metrics.pr_curve(ss, yy, 0, validate_rows=False)
+            base = metrics.pr_curve(ss, yy, 0)
             want = brute_force_ap(ss[:, 0].tolist(), (yy == 0).tolist())
             assert abs(base.average_precision - want) <= 1e-12
             assert 0.0 <= base.average_precision <= 1.0
@@ -156,13 +156,13 @@ def test_a5_pr_auc_properties():
                       lambda s: np.log(s + 1e-9)):
                 tt = ss.copy()
                 tt[:, 0] = f(ss[:, 0])
-                got = metrics.pr_curve(tt, yy, 0, validate_rows=False)
+                got = metrics.pr_curve(tt, yy, 0)
                 assert abs(got.average_precision
                            - base.average_precision) <= 1e-12
         # classes without positives are excluded from the macro average
         yy = np.array([0, 0, 1, 1])
         ss = rng.random((4, 6))
-        curves = {name: metrics.pr_curve(ss, yy, c, validate_rows=False)
+        curves = {name: metrics.pr_curve(ss, yy, c)
                   for c, name in enumerate(models.CLASS_NAMES)}
         _, undefined = metrics.macro_pr_auc(curves)
         assert set(undefined) == set(models.CLASS_NAMES[2:])

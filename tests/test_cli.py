@@ -226,6 +226,14 @@ class TestConfigFile:
         assert rc == 2
         assert f"error: {cfg}:2: {message}" in capsys.readouterr().err
 
+    def test_missing_file_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "absent.cfg"
+        rc = cli.main(["prepare", "--config", str(cfg), "--annotations",
+                       str(tmp_path / "a.json"), "--frames", str(tmp_path),
+                       "--workdir", str(tmp_path / "w")])
+        assert rc == 2
+        assert f"error: {cfg}: " in capsys.readouterr().err
+
 
 class TestSyntheticExperimentScript:
     def test_runs_with_only_src_on_path(self, tmp_path):

@@ -334,6 +334,32 @@ class TestPPM:
             data.read_ppm(path)
 
 
+class TestLoadSplitArrays:
+    def _manifest(self, tmp_path, shapes):
+        rng = np.random.default_rng(0)
+        samples = []
+        for i, shape in enumerate(shapes):
+            path = str(tmp_path / f"c{i}.ppm")
+            data.write_ppm(path, rng.integers(0, 256, shape))
+            samples.append(data.SampleRecord(path, CLASS_NAMES[i % 6],
+                                             "train", "original", i))
+        return data.DatasetManifest(samples)
+
+    def test_scaled_float32(self, tmp_path):
+        manifest = self._manifest(tmp_path, [(99, 99, 3)] * 3)
+        x, y = data.load_split_arrays(manifest, "train")
+        want = np.stack([data.load_image(s.path)
+                         for s in manifest.samples]) / np.float32(255.0)
+        assert x.dtype == np.float32
+        assert x.tobytes() == want.tobytes()
+        assert y.argmax(axis=1).tolist() == [0, 1, 2]
+
+    def test_wrong_size_crop_names_path(self, tmp_path):
+        manifest = self._manifest(tmp_path, [(99, 99, 3), (50, 60, 3)])
+        with pytest.raises(DataError, match="c1.ppm"):
+            data.load_split_arrays(manifest, "train")
+
+
 class TestPrepareDataset:
     def test_end_to_end(self, tmp_path):
         ann, frames = make_synthetic_corpus(

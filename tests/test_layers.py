@@ -116,6 +116,79 @@ class TestBackwardSemantics:
         assert got[1, 1] == got[1, 3] == got[3, 1] == got[3, 3] == 1.0
 
 
+def first_max_pool(x, kernel, stride, padding, upstream):
+    """Loop oracle for max-pool: (pooled values, input gradient). Each
+    window sends its upstream gradient to its first maximum in row-major
+    order; padding cells hold -inf."""
+    n, h, w, c = x.shape
+    (pt, pb), (pl, pr) = T.pad_amounts(h, w, kernel, stride, padding)
+    xp = np.full((n, h + pt + pb, w + pl + pr, c), -np.inf)
+    xp[:, pt:pt + h, pl:pl + w] = x
+    out = np.zeros(upstream.shape)
+    dxp = np.zeros(xp.shape)
+    for b, oi, oj, ch in np.ndindex(*upstream.shape):
+        i0, j0 = oi * stride, oj * stride
+        win = xp[b, i0:i0 + kernel, j0:j0 + kernel, ch]
+        out[b, oi, oj, ch] = win.max()
+        i, j = next((i, j) for i in range(kernel) for j in range(kernel)
+                    if win[i, j] == win.max())
+        dxp[b, i0 + i, j0 + j, ch] += upstream[b, oi, oj, ch]
+    return out, dxp[:, pt:pt + h, pl:pl + w]
+
+
+class TestMaxPoolWindows:
+    GEOMETRIES = [(2, 2, T.VALID_FLOOR, (1, 6, 7, 2)),
+                  (3, 2, T.SAME_CEIL, (1, 7, 6, 2))]
+
+    @pytest.mark.parametrize("kernel,stride,padding,shape", GEOMETRIES,
+                             ids=["2x2s2_valid_floor", "3x3s2_same_ceil"])
+    @pytest.mark.parametrize("fill", ["ties", "constant_negative"])
+    def test_ties_route_to_first_max(self, kernel, stride, padding, shape,
+                                     fill):
+        rng = np.random.default_rng(4)
+        if fill == "ties":
+            x = rng.integers(0, 2, shape).astype(np.float64)
+        else:  # every cell ties; a zero-padded cell would win instead
+            x = np.full(shape, -5.0)
+        pool = L.MaxPool2D(kernel, stride, padding)
+        out = pool.forward(x)
+        upstream = rng.random(out.shape)
+        want_out, want_dx = first_max_pool(x, kernel, stride, padding,
+                                           upstream)
+        dx = pool.backward(upstream)
+        assert np.array_equal(out, want_out)
+        assert np.array_equal(dx, want_dx)
+        # no window's gradient is lost on a padded cell
+        assert np.isclose(dx.sum(), upstream.sum(), rtol=0, atol=1e-12)
+
+
+class TestConvWindows:
+    @pytest.mark.parametrize("kernel,stride,padding", [
+        (3, 1, T.SAME_PRESERVING), (7, 2, T.SAME_CEIL), (1, 1, T.VALID_FLOOR),
+        (1, 2, T.VALID_FLOOR), (3, 2, T.SAME_CEIL)])
+    def test_forward_matches_direct_loop(self, kernel, stride, padding):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((2, 9, 8, 3))
+        conv = L.Conv2D(4, kernel, in_channels=3, stride=stride,
+                        padding=padding, seed=3, dtype=np.float64)
+        out = conv.forward(x)
+        (pt, pb), (pl, pr) = T.pad_amounts(9, 8, kernel, stride, padding)
+        xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+        want = np.empty(out.shape)
+        for b, i, j in np.ndindex(*out.shape[:3]):
+            win = xp[b, i * stride:i * stride + kernel,
+                     j * stride:j * stride + kernel]
+            want[b, i, j] = np.tensordot(win, conv.params["weight"], 3)
+        want += conv.params["bias"]
+        assert np.allclose(out, want, rtol=1e-12, atol=1e-12)
+
+    def test_pointwise_conv_caches_view_of_input(self):
+        conv = L.Conv2D(4, 1, in_channels=3, seed=0)
+        x = np.random.default_rng(0).random((2, 5, 5, 3), np.float32)
+        conv.forward(x)
+        assert np.shares_memory(conv.cache[0], x)
+
+
 class TestGradients:
     def test_conv2d(self):
         conv = L.Conv2D(3, 3, in_channels=2, stride=1,

@@ -200,8 +200,7 @@ class TestPRCurve:
         for fn in transforms:
             t = scores.copy()
             t[:, 2] = fn(scores[:, 2])
-            got = metrics.pr_curve(t, y, 2,
-                                   validate_rows=False).average_precision
+            got = metrics.pr_curve(t, y, 2).average_precision
             assert abs(got - base) < 1e-12
 
     def test_zero_positives_ap_is_none(self):
@@ -291,6 +290,13 @@ class TestReport:
         assert report.accuracy == 1.0
         assert report.pr_auc_macro == 1.0
         assert np.array_equal(report.confusion_matrix, np.diag([3] * 6))
+
+    def test_row_not_summing_to_one_rejected(self):
+        y = np.array(list(range(6)))
+        preds = np.full((6, 6), 1 / 6)
+        preds[3, 0] += 1e-4
+        with pytest.raises(MetricError, match="sum to 1"):
+            metrics.build_report(8, preds, y)
 
     def test_structure_mirrors_tables(self):
         report = self._report()

@@ -194,7 +194,7 @@ def _forward_loss_grad(model, seed=0):
 def _train_step(model, opt, seed=0):
     g = _forward_loss_grad(model, seed)
     model.zero_grads()
-    model.backward(g, at_logits=True)
+    model.backward(g)
     opt.step(model)
 
 
@@ -222,14 +222,14 @@ class TestBackward:
         model, _ = _phase_model(case)
         g = _forward_loss_grad(model)
         model.zero_grads()
-        model.backward(g, at_logits=True)
+        model.backward(g)
         pruned = {(n.name, k): v.copy() for n in model.nodes
                   if n.layer.trainable for k, v in n.layer.grads.items()}
         assert pruned
         for node in model.nodes:
             node.layer.trainable = True
         model.zero_grads()
-        model.backward(g, at_logits=True)
+        model.backward(g)
         full = {(n.name, k): v for n in model.nodes
                 for k, v in n.layer.grads.items()}
         for key, grad in pruned.items():

@@ -155,7 +155,7 @@ class TestStateRoundTrip:
             _, g = cross_entropy_loss(probs, y,
                                       logits=model.nodes[-1].layer.logits)
             model.zero_grads()
-            model.backward(g, at_logits=True)
+            model.backward(g)
             opt.step(model)
         path = tmp_path / "m.pdcn"
         ckpt.save_model(path, model, cfg, optimizer=opt)

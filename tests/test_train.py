@@ -137,7 +137,7 @@ class TestEarlyStopping:
         before, g = cross_entropy_loss(probs, y,
                                        logits=model.nodes[-1].layer.logits)
         model.zero_grads()
-        model.backward(g, at_logits=True)
+        model.backward(g)
         opt.step(model)
         after, _ = engine.evaluate_arrays(model, x, y)
         assert after < before
