@@ -13,13 +13,19 @@ from . import tensor as T
 from .errors import ShapeError, StateError
 
 
-def _im2col(x, k, stride, pads, pad_value=0.0):
-    """Window view of a (N,H,W,C) map as (N,Ho,Wo,k,k,C); only padding
-    copies."""
+def _pad(x, pads, value):
+    """x with `pads` cells of `value` around its two spatial axes."""
     (pt, pb), (pl, pr) = pads
     if pt or pb or pl or pr:
         x = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)),
-                   constant_values=pad_value)
+                   constant_values=value)
+    return x
+
+
+def _im2col(x, k, stride, pads):
+    """Window view of a zero-padded (N,H,W,C) map as (N,Ho,Wo,k,k,C); only
+    padding copies."""
+    x = _pad(x, pads, 0.0)
     win = sliding_window_view(x, (k, k), axis=(1, 2))
     return win[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
 
@@ -35,6 +41,19 @@ def _col2im(col, in_shape, stride, pads):
             out[:, i:i + ho * stride:stride,
                 j:j + wo * stride:stride, :] += col[:, :, :, i, j, :]
     return out[:, pt:pt + h, pl:pl + w, :]
+
+
+def _first_max(arrays):
+    """Elementwise max of equal-shaped arrays and the uint8 position of the
+    first maximum: a later array takes the position only where it is
+    strictly greater."""
+    best = arrays[0]
+    arg = np.zeros(best.shape, np.uint8)
+    for i, a in enumerate(arrays[1:], 1):
+        later = a > best
+        arg += later * (np.uint8(i) - arg)  # wraps mod 256: i where later
+        best = np.maximum(best, a)
+    return best, arg
 
 
 class Layer:
@@ -99,15 +118,23 @@ class Conv2D(Layer):
         y = col2 @ w2 + self.params["bias"]
         return y.reshape(*col.shape[:3], self.filters)
 
-    def backward(self, upstream):
+    def backward(self, upstream, input_grad=True):
         self._require_cache()
         col2, in_shape, pads = self.cache
         w2 = self.params["weight"].reshape(-1, self.filters)
         g2 = upstream.reshape(-1, self.filters)
         self.grads["weight"] += (col2.T @ g2).reshape(self.params["weight"].shape)
         self.grads["bias"] += g2.sum(axis=0)
-        dcol = (g2 @ w2.T).reshape(*upstream.shape[:3], self.kernel,
-                                   self.kernel, self.in_channels)
+        if not input_grad:
+            return None
+        dcol = g2 @ w2.T
+        if self.kernel == 1 and self.stride == 1:
+            # the column gradient is the input gradient; + 0 turns -0.0 into
+            # +0.0 as _col2im's sum onto zeros does
+            dcol += 0
+            return dcol.reshape(in_shape)
+        dcol = dcol.reshape(*upstream.shape[:3], self.kernel, self.kernel,
+                            self.in_channels)
         return _col2im(dcol, in_shape, self.stride, pads)
 
 
@@ -130,7 +157,10 @@ class BatchNorm(Layer):
         axes = tuple(range(x.ndim - 1))
         if train:
             mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            xc = x - mean
+            out = xc * xc
+            # the same sum and division by the count as x.var(axis=axes)
+            var = out.mean(axis=axes)
             m = np.asarray(self.momentum, dtype=x.dtype)
             one = np.asarray(1.0, dtype=x.dtype)
             self.state["moving_mean"] = (m * self.state["moving_mean"]
@@ -140,24 +170,41 @@ class BatchNorm(Layer):
         else:
             mean = self.state["moving_mean"]
             var = self.state["moving_var"]
+            xc = x - mean
+            out = np.empty_like(xc)
         inv_std = 1.0 / np.sqrt(var + np.asarray(self.epsilon, dtype=x.dtype))
-        xhat = (x - mean) * inv_std
+        xhat = xc
+        xhat *= inv_std
         self.cache = (xhat, inv_std, axes, train, x.shape)
-        return self.params["scale"] * xhat + self.params["shift"]
+        np.multiply(self.params["scale"], xhat, out=out)
+        out += self.params["shift"]
+        return out
 
-    def backward(self, upstream):
+    def backward(self, upstream, input_grad=True):
         self._require_cache()
         xhat, inv_std, axes, train, shape = self.cache
-        self.grads["scale"] += (upstream * xhat).sum(axis=axes)
+        scratch = upstream * xhat
+        self.grads["scale"] += scratch.sum(axis=axes)
         self.grads["shift"] += upstream.sum(axis=axes)
+        if not input_grad:
+            return None
         g = upstream * self.params["scale"]
         if not train:
-            return g * inv_std
+            g *= inv_std
+            return g
         # in the data dtype: a numpy int64 count would promote float32 to float64
         m = xhat.dtype.type(np.prod([shape[a] for a in axes]))
-        # full batch-statistics derivative
-        return (inv_std / m) * (m * g - g.sum(axis=axes)
-                                - xhat * (g * xhat).sum(axis=axes))
+        # full batch-statistics derivative, in place and in this order:
+        # (inv_std / m) * ((m * g - sum(g)) - xhat * sum(g * xhat))
+        sum_g = g.sum(axis=axes)
+        np.multiply(g, xhat, out=scratch)
+        sum_gx = scratch.sum(axis=axes)
+        g *= m
+        g -= sum_g
+        np.multiply(xhat, sum_gx, out=scratch)
+        g -= scratch
+        g *= inv_std / m
+        return g
 
 
 class ReLU(Layer):
@@ -173,6 +220,14 @@ class ReLU(Layer):
 
 
 class MaxPool2D(Layer):
+    """Max-pool with first-max routing: each window sends its gradient to its
+    first maximum in row-major order. Padding cells hold -inf.
+
+    Cell (i, j) of every window is one strided slice of the padded input, so
+    the pool compares kernel*kernel slices elementwise. Overlapping windows
+    (the ResNet stem's 3x3/2) only make backward add where cells coincide.
+    """
+
     kind = "maxpool2d"
 
     def __init__(self, kernel=2, stride=2, padding=T.VALID_FLOOR):
@@ -181,26 +236,38 @@ class MaxPool2D(Layer):
         self.stride = stride
         self.padding = padding
 
+    def _cells(self, a, out_shape):
+        """Per kernel cell, row-major, the slice of the padded map `a` that
+        holds that cell of every window."""
+        k, s = self.kernel, self.stride
+        _, ho, wo, _ = out_shape
+        return [a[:, i:i + ho * s:s, j:j + wo * s:s]
+                for i in range(k) for j in range(k)]
+
     def forward(self, x, train=False, rng=None):
         if x.ndim != 4:
             raise ShapeError(f"maxpool2d expects rank-4 input, got {x.shape}")
-        pads = T.pad_amounts(x.shape[1], x.shape[2], self.kernel,
-                             self.stride, self.padding)
-        col = _im2col(x, self.kernel, self.stride, pads, pad_value=-np.inf)
-        flat = col.reshape(*col.shape[:3], -1, x.shape[3])
-        # first max wins: deterministic routing
-        self.cache = (flat.argmax(axis=3), x.shape, pads)
-        return flat.max(axis=3)
+        k, s = self.kernel, self.stride
+        pads = T.pad_amounts(x.shape[1], x.shape[2], k, s, self.padding)
+        xp = _pad(x, pads, -np.inf)
+        out_shape = (x.shape[0], (xp.shape[1] - k) // s + 1,
+                     (xp.shape[2] - k) // s + 1, x.shape[3])
+        y, arg = _first_max(self._cells(xp, out_shape))
+        self.cache = (arg, x.shape, pads)
+        return y
 
     def backward(self, upstream):
         self._require_cache()
-        arg, in_shape, pads = self.cache
-        window = np.arange(self.kernel * self.kernel)[:, None]
-        dflat = np.where(arg[:, :, :, None] == window,
-                         upstream[:, :, :, None], 0)
-        dcol = dflat.reshape(*upstream.shape[:3], self.kernel, self.kernel,
-                             in_shape[3])
-        return _col2im(dcol, in_shape, self.stride, pads)
+        arg, (n, h, w, c), pads = self.cache
+        (pt, pb), (pl, pr) = pads
+        dxp = np.zeros((n, h + pt + pb, w + pl + pr, c), upstream.dtype)
+        routed = np.empty_like(upstream)
+        for t, cell in enumerate(self._cells(dxp, upstream.shape)):
+            np.multiply(upstream, arg == t, out=routed)
+            # add, as windows may overlap; the sum onto zeros also turns the
+            # -0.0 of a negative gradient times a losing cell into +0.0
+            cell += routed
+        return dxp[:, pt:pt + h, pl:pl + w]
 
 
 class GlobalAvgPool(Layer):
@@ -246,11 +313,13 @@ class Dense(Layer):
         self.cache = x
         return x @ self.params["weight"] + self.params["bias"]
 
-    def backward(self, upstream):
+    def backward(self, upstream, input_grad=True):
         self._require_cache()
         x = self.cache
         self.grads["weight"] += x.T @ upstream
         self.grads["bias"] += upstream.sum(axis=0)
+        if not input_grad:
+            return None
         return upstream @ self.params["weight"].T
 
 

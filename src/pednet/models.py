@@ -117,7 +117,9 @@ class Model:
         so a gradient headed below that node could only reach layers without
         trainable parameters. Freezing is a prefix of the node list (see
         `build_resnet50` and `optim.apply_phase`), so no frozen layer's
-        `grads` are written.
+        `grads` are written. That node, the frontier, is told not to compute
+        its input gradient, which nothing reads: training never computes the
+        gradient of the model input.
         """
         last = self.nodes[-1]
         if last.layer.kind != "softmax":
@@ -132,6 +134,9 @@ class Model:
             if g is None:
                 continue
             node = self.nodes[idx]
+            if idx == lowest:  # nothing reads the frontier's input gradient
+                node.layer.backward(g, input_grad=False)
+                break
             down = node.layer.backward(g)
             if not isinstance(down, tuple):
                 down = (down,)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from pednet import layers as L
+from pednet import models
 from pednet import tensor as T
 from pednet.errors import ShapeError, StateError
 
@@ -162,6 +164,65 @@ class TestMaxPoolWindows:
         assert np.isclose(dx.sum(), upstream.sum(), rtol=0, atol=1e-12)
 
 
+def window_path_pool(x, kernel, stride, padding, upstream):
+    """Max-pool through the (N,Ho,Wo,C,k,k) strided window view, with argmax
+    and a scatter-add of the routed gradient: (values, first-max index, dx).
+    """
+    pads = T.pad_amounts(x.shape[1], x.shape[2], kernel, stride, padding)
+    xp = np.pad(x, ((0, 0), *pads, (0, 0)), constant_values=-np.inf)
+    win = sliding_window_view(xp, (kernel, kernel), axis=(1, 2))
+    flat = win[:, ::stride, ::stride].reshape(*upstream.shape, -1)
+    arg = flat.argmax(axis=-1)
+    routed = np.where(arg[..., None] == np.arange(kernel * kernel),
+                      upstream[..., None], 0)
+    dcol = routed.reshape(*upstream.shape, kernel, kernel)
+    dx = L._col2im(dcol.transpose(0, 1, 2, 4, 5, 3), x.shape, stride, pads)
+    return flat.max(axis=-1), arg, dx
+
+
+def _tied_input(fill, extent, dtype, rng):
+    """(2, extent, extent, 3) map whose aligned 2x2 blocks, the windows of a
+    2x2/2 pool, tie as `fill` says; a 3x3/2 window spans several blocks."""
+    shape = (2, extent, extent, 3)
+    if fill == "random":
+        return rng.standard_normal(shape).astype(dtype)
+    x = rng.integers(0, 4, shape).astype(dtype)
+    e = extent // 2 * 2
+    if fill == "row_ties":  # the two cells of each window's top row tie
+        x[:, 0:e:2, 1:e:2] = x[:, 0:e:2, 0:e:2]
+    elif fill == "column_ties":  # each window's left cells tie across rows
+        x[:, 1:e:2, 0:e:2] = x[:, 0:e:2, 0:e:2]
+    elif fill == "all_equal":  # every cell of each window is equal
+        per_window = rng.standard_normal((2, e // 2, e // 2, 3))
+        x[:, :e, :e] = per_window.repeat(2, axis=1).repeat(2, axis=2)
+    return x
+
+
+class TestMaxPoolSlices:
+    @pytest.mark.parametrize("kernel,stride,padding", [
+        (2, 2, T.VALID_FLOOR), (3, 2, T.SAME_CEIL)])
+    @pytest.mark.parametrize("extent", [99, 49, 25, 13])
+    @pytest.mark.parametrize("fill", ["row_ties", "column_ties", "all_equal",
+                                      "random"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_window_view(self, kernel, stride, padding, extent, fill,
+                                 dtype):
+        rng = np.random.default_rng(extent)
+        x = _tied_input(fill, extent, dtype, rng)
+        pool = L.MaxPool2D(kernel, stride, padding)
+        out = pool.forward(x)
+        upstream = rng.standard_normal(out.shape).astype(dtype)
+        upstream[0, 0, 0] = -0.0
+        want, want_arg, want_dx = window_path_pool(x, kernel, stride, padding,
+                                                   upstream)
+        assert out.dtype == dtype and out.tobytes() == want.tobytes()
+        # the same first maximum of every window
+        assert np.array_equal(pool.cache[0], want_arg)
+        dx = pool.backward(upstream)
+        assert dx.dtype == dtype and dx.shape == x.shape
+        assert dx.tobytes() == want_dx.tobytes()
+
+
 class TestConvWindows:
     @pytest.mark.parametrize("kernel,stride,padding", [
         (3, 1, T.SAME_PRESERVING), (7, 2, T.SAME_CEIL), (1, 1, T.VALID_FLOOR),
@@ -187,6 +248,21 @@ class TestConvWindows:
         x = np.random.default_rng(0).random((2, 5, 5, 3), np.float32)
         conv.forward(x)
         assert np.shares_memory(conv.cache[0], x)
+
+    def test_pointwise_conv_backward_skips_scatter(self, monkeypatch):
+        conv = L.Conv2D(4, 1, in_channels=3, seed=0)
+        rng = np.random.default_rng(1)
+        x = rng.random((2, 5, 5, 3), np.float32)
+        conv.forward(x)
+        upstream = rng.standard_normal((2, 5, 5, 4)).astype(np.float32)
+        upstream[0, 0, 0] = -0.0
+        dcol = upstream.reshape(-1, 4) @ conv.params["weight"].reshape(3, 4).T
+        want = L._col2im(dcol.reshape(2, 5, 5, 1, 1, 3), x.shape, 1,
+                         ((0, 0), (0, 0)))
+        monkeypatch.setattr(L, "_col2im", None)  # must not be called
+        dx = conv.backward(upstream)
+        assert dx.dtype == np.float32
+        assert dx.tobytes() == want.tobytes()  # the sign of zeros too
 
 
 class TestGradients:
@@ -312,6 +388,76 @@ class TestBatchNormStatistics:
         x = np.array([[[[1.0, 2.0]]]])
         out = bn.forward(x, train=False)
         assert np.allclose(out, 0.0, atol=1e-3)
+
+
+def reference_batchnorm(bn, x, upstream, train):
+    """BatchNorm by the formulas it had before its passes were fused:
+    (output, moving_mean, moving_var, dscale, dshift, dx)."""
+    axes = tuple(range(x.ndim - 1))
+    moving_mean, moving_var = bn.state["moving_mean"], bn.state["moving_var"]
+    if train:
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        m = np.asarray(bn.momentum, dtype=x.dtype)
+        one = np.asarray(1.0, dtype=x.dtype)
+        moving_mean = m * moving_mean + (one - m) * mean
+        moving_var = m * moving_var + (one - m) * var
+    else:
+        mean, var = moving_mean, moving_var
+    inv_std = 1.0 / np.sqrt(var + np.asarray(bn.epsilon, dtype=x.dtype))
+    xhat = (x - mean) * inv_std
+    out = bn.params["scale"] * xhat + bn.params["shift"]
+    dscale = (upstream * xhat).sum(axis=axes)
+    dshift = upstream.sum(axis=axes)
+    g = upstream * bn.params["scale"]
+    if train:
+        m = xhat.dtype.type(np.prod([x.shape[a] for a in axes]))
+        dx = (inv_std / m) * (m * g - g.sum(axis=axes)
+                              - xhat * (g * xhat).sum(axis=axes))
+    else:
+        dx = g * inv_std
+    return out, moving_mean, moving_var, dscale, dshift, dx
+
+
+def batchnorm_input_shapes(model_id, batch=8):
+    """The distinct input shapes of a registry model's BatchNorm layers."""
+    model = models.build_model(models.registry_lookup(model_id), seed=0)
+    shapes = set()
+    x = np.zeros((1, *model.input_spec), np.float32)
+    outs = []
+    for node in model.nodes:
+        args = [x if i == -1 else outs[i] for i in node.inputs]
+        if node.layer.kind == "batchnorm":
+            shapes.add((batch, *args[0].shape[1:]))
+        outs.append(node.layer.forward(*args))
+    return sorted(shapes)
+
+
+class TestBatchNormFusedPasses:
+    @pytest.mark.parametrize("model_id", [8, 1])
+    @pytest.mark.parametrize("train", [True, False])
+    def test_bit_equal_to_reference(self, model_id, train):
+        shapes = batchnorm_input_shapes(model_id)
+        assert len(shapes) == (4 if model_id == 8 else 9)
+        for shape in shapes:
+            rng = np.random.default_rng(shape[1] * shape[3])
+            c = shape[3]
+            bn = L.BatchNorm(c)
+            bn.params["scale"] = rng.standard_normal(c).astype(np.float32)
+            bn.params["shift"] = rng.standard_normal(c).astype(np.float32)
+            bn.state["moving_mean"] = rng.standard_normal(c).astype(np.float32)
+            bn.state["moving_var"] = (rng.random(c) + 0.5).astype(np.float32)
+            x = (rng.standard_normal(shape) * 3 + 1).astype(np.float32)
+            upstream = rng.standard_normal(shape).astype(np.float32)
+            want = reference_batchnorm(bn, x, upstream, train)
+            out = bn.forward(x, train=train)
+            dx = bn.backward(upstream)
+            got = (out, bn.state["moving_mean"], bn.state["moving_var"],
+                   bn.grads["scale"], bn.grads["shift"], dx)
+            for name, a, b in zip(("out", "moving_mean", "moving_var",
+                                   "dscale", "dshift", "dx"), got, want):
+                assert a.dtype == np.float32, (shape, name)
+                assert a.tobytes() == b.tobytes(), (shape, name)
 
 
 class TestDropout:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pednet import models, optim
+from pednet import layers, models, optim
 from pednet.errors import ConfigError
 from pednet.train import cross_entropy_loss, one_hot
 
@@ -235,6 +235,33 @@ class TestBackward:
         for key, grad in pruned.items():
             assert grad.tobytes() == full[key].tobytes(), key
 
+    @pytest.mark.parametrize("model_id,phase,frontier", [
+        (8, 1, "block1_conv"), (1, 2, "stage3_block4_bn2")])
+    def test_frontier_computes_no_input_gradient(self, model_id, phase,
+                                                 frontier, monkeypatch):
+        cfg = models.registry_lookup(model_id)
+        model = models.build_model(cfg, seed=0)
+        opt = optim.make_optimizer(cfg)
+        for p in range(1, phase + 1):
+            opt = optim.apply_phase(cfg, model, opt, p)
+        scattered = []
+
+        def col2im(col, in_shape, *args, _real=layers._col2im):
+            scattered.append(in_shape)
+            return _real(col, in_shape, *args)
+
+        monkeypatch.setattr(layers, "_col2im", col2im)
+        calls = _spy(model)
+        _train_step(model, opt)
+        down = {model.nodes[idx].name: out
+                for idx, method, _, out in calls if method == "backward"}
+        assert down.pop(frontier) is None
+        assert all(out is not None for out in down.values())
+        # nothing is scattered onto the model input
+        assert (2, *model.input_spec) not in scattered
+        layer = next(n.layer for n in model.nodes if n.name == frontier)
+        assert all(np.any(g != 0) for g in layer.grads.values())
+
     @pytest.mark.parametrize("model_id,phases", [(8, (1,)), (1, (1, 2))])
     def test_train_step_stays_float32(self, model_id, phases):
         cfg = models.registry_lookup(model_id)
@@ -248,6 +275,8 @@ class TestBackward:
             for idx, method, args, out in calls:
                 outs = out if isinstance(out, tuple) else (out,)
                 for arr in args + outs:
+                    if arr is None:  # the frontier returns no input gradient
+                        continue
                     assert arr.dtype == np.float32, (
                         phase, model.nodes[idx].name, method, arr.dtype)
             for node in model.nodes:
