@@ -41,13 +41,17 @@ def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: bytes, path):
         self.buf = buf
+        self.path = path
         self.off = 0
+
+    def error(self, message: str) -> CheckpointError:
+        return CheckpointError(f"{self.path}: {message}")
 
     def take(self, n: int, section: str) -> bytes:
         if self.off + n > len(self.buf):
-            raise CheckpointError(f"truncated checkpoint in {section}")
+            raise self.error(f"truncated checkpoint in {section}")
         out = self.buf[self.off:self.off + n]
         self.off += n
         return out
@@ -70,19 +74,20 @@ def write_checkpoint(path, meta: dict, tensors: dict[str, np.ndarray]):
 
 
 def read_checkpoint(path) -> CheckpointData:
+    """The metadata and tensors of a checkpoint file; every CheckpointError
+    names the file."""
     with open(path, "rb") as f:
-        buf = f.read()
-    r = _Reader(buf)
+        r = _Reader(f.read(), path)
     if r.take(4, "magic") != MAGIC:
-        raise CheckpointError("bad magic: not a PDCN checkpoint")
+        raise r.error("bad magic: not a PDCN checkpoint")
     (version,) = r.unpack("<I", "version")
     if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
+        raise r.error(f"unsupported checkpoint version {version}")
     (meta_len,) = r.unpack("<I", "metadata")
     try:
         meta = json.loads(r.take(meta_len, "metadata").decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"malformed metadata block: {e}") from e
+        raise r.error(f"malformed metadata block: {e}") from e
     (count,) = r.unpack("<I", "tensor table")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -90,14 +95,14 @@ def read_checkpoint(path) -> CheckpointData:
         name = r.take(nlen, "tensor table").decode("utf-8")
         tag, ndim = r.unpack("<BB", f"tensor {name}")
         if tag not in _TAG_DTYPES:
-            raise CheckpointError(f"unknown dtype tag {tag} for tensor {name}")
+            raise r.error(f"unknown dtype tag {tag} for tensor {name}")
         shape = r.unpack(f"<{ndim}I", f"tensor {name}")
         dtype = _TAG_DTYPES[tag]
         n = int(np.prod(shape)) if ndim else 1
         raw = r.take(n * dtype.itemsize, f"tensor {name}")
         tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-    if r.off != len(buf):
-        raise CheckpointError("trailing bytes after tensor table")
+    if r.off != len(r.buf):
+        raise r.error("trailing bytes after tensor table")
     return CheckpointData(meta=meta, tensors=tensors)
 
 
@@ -150,8 +155,8 @@ def restore_model(path):
     cfg_dict.pop("pretrained", None)
     config = ModelConfig(pretrained=None, **cfg_dict)
     model = build_model(config)
-    assign_tensors(model, _require(data.tensors, model_tensors(model),
-                                   f"{path}: missing tensor"))
+    assign_tensors(model, _require(path, data.tensors, model_tensors(model),
+                                   "tensor"))
     trainable = set(data.meta.get("trainable_nodes", []))
     for node in model.nodes:
         node.layer.trainable = node.name in trainable
@@ -169,40 +174,31 @@ def restore_model(path):
 def assign_tensors(model, tensors: dict[str, np.ndarray]):
     """Copy the given tensors into the model's parameter and statistic
     arrays in place, cast to their dtype."""
-    for name, layer, pname in model.named_params():
-        key = f"param:{name}"
+    for key, dst in model_tensors(model).items():
         if key in tensors:
-            _check_shape(key, tensors[key], layer.params[pname])
-            layer.params[pname][...] = tensors[key]
-    for name, layer, sname in model.named_state():
-        key = f"state:{name}"
-        if key in tensors:
-            _check_shape(key, tensors[key], layer.state[sname])
-            layer.state[sname][...] = tensors[key]
+            dst[...] = tensors[key]
     model.zero_grads()
-
-
-def _check_shape(key, src, dst):
-    if tuple(src.shape) != tuple(dst.shape):
-        raise CheckpointError(
-            f"shape mismatch for {key}: checkpoint {tuple(src.shape)} "
-            f"vs model {tuple(dst.shape)}")
 
 
 def load_backbone_weights(model, path):
     """Fill every backbone parameter/statistic from a checkpoint file."""
     data = read_checkpoint(path)
     backbone = set(n.name for n in model.nodes[:model.backbone_len])
-    keys = [k for k in model_tensors(model)
-            if k.split(":", 1)[1].split(".", 1)[0] in backbone]
-    assign_tensors(model, _require(data.tensors, keys,
-                                   f"{path}: missing backbone tensor"))
+    wanted = {k: v for k, v in model_tensors(model).items()
+              if k.split(":", 1)[1].split(".", 1)[0] in backbone}
+    assign_tensors(model, _require(path, data.tensors, wanted,
+                                   "backbone tensor"))
 
 
-def _require(tensors, keys, message):
-    """The named tensors; CheckpointError (message + key) for the first
-    key absent from the file."""
-    for key in keys:
+def _require(path, tensors, wanted, what):
+    """The tensors of file `path` for the keys of `wanted`, each of the shape
+    of the model array `wanted` maps it to; CheckpointError names the file
+    and the first key that is absent or of another shape."""
+    for key, dst in wanted.items():
         if key not in tensors:
-            raise CheckpointError(f"{message} {key}")
-    return {k: tensors[k] for k in keys}
+            raise CheckpointError(f"{path}: missing {what} {key}")
+        if tensors[key].shape != dst.shape:
+            raise CheckpointError(
+                f"{path}: {what} {key} has shape {tensors[key].shape}, "
+                f"the model's is {dst.shape}")
+    return {k: tensors[k] for k in wanted}

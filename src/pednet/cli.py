@@ -37,12 +37,8 @@ def parse_config_file(path) -> dict:
     """Settings from a `key = value` file, each key one of the defaults and
     its value converted to the default's type; PednetError names the file
     and line of the first bad one."""
-    try:
-        f = open(path, "r", encoding="utf-8")
-    except OSError as e:
-        raise PednetError(f"{path}: {e.strerror}") from None
     values = {}
-    with f:
+    with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -88,14 +84,6 @@ def _aug_ranges(cfg) -> data.AugmentRanges:
 def cmd_prepare(args) -> int:
     cfg = resolve_config(args)
     _print_config(cfg)
-    if not os.path.exists(args.annotations):
-        print(f"error: annotation file not found: {args.annotations}",
-              file=sys.stderr)
-        return 2
-    if not os.path.isdir(args.frames):
-        print(f"error: frame directory not found: {args.frames}",
-              file=sys.stderr)
-        return 2
     os.makedirs(args.workdir, exist_ok=True)
     manifest = data.prepare_dataset(
         args.annotations, args.frames, args.workdir,
@@ -116,9 +104,8 @@ def cmd_inspect(args) -> int:
         try:
             config = registry_lookup(int(args.model))
         except (ValueError, PednetError):
-            print(f"error: {args.model!r} is neither a checkpoint path nor "
-                  "a model id 1..8", file=sys.stderr)
-            return 2
+            raise PednetError(f"{args.model!r} is neither a checkpoint path "
+                              "nor a model id 1..8") from None
         model = build_model(config, seed=0)
     ledger, total, trainable = model.summary()
     print(f"{'idx':>4} {'layer':<28} {'kind':<14} {'trainable':>12} "
@@ -133,9 +120,6 @@ def cmd_inspect(args) -> int:
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
     _print_config(cfg)
-    if not os.path.exists(args.manifest):
-        print(f"error: manifest not found: {args.manifest}", file=sys.stderr)
-        return 2
     config = registry_lookup(args.model_id)
     manifest = data.read_manifest(args.manifest)
     x_train, y_train = data.load_split_arrays(manifest, "train")
@@ -168,10 +152,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    for path in (args.checkpoint, args.manifest):
-        if not os.path.exists(path):
-            print(f"error: missing input: {path}", file=sys.stderr)
-            return 2
     model, config, _, _ = ckpt.restore_model(args.checkpoint)
     manifest = data.read_manifest(args.manifest)
     x, y = data.load_split_arrays(manifest, args.split)
@@ -194,9 +174,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    if not os.path.exists(args.checkpoint):
-        print(f"error: missing checkpoint: {args.checkpoint}", file=sys.stderr)
-        return 2
     model, _, _, _ = ckpt.restore_model(args.checkpoint)
     paths, images = [], []
     for path in args.images:
@@ -266,8 +243,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PednetError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (PednetError, OSError) as e:
+        # an OSError names its file apart from its reason, where it has one
+        reason = (f"{e.filename}: {e.strerror}"
+                  if isinstance(e, OSError) and e.filename else e)
+        print(f"error: {reason}", file=sys.stderr)
         return 2
 
 

@@ -111,19 +111,21 @@ def read_ppm(path) -> np.ndarray:
 
 
 def load_image(path) -> np.ndarray:
-    """Decode to a float32 (H,W,3) array with values in [0,255]."""
+    """Decode to a float32 (H,W,3) array with values in [0,255]; an image
+    that cannot be read is a DataError that names its path."""
     ext = os.path.splitext(str(path))[1].lower()
-    if ext == ".ppm":
-        return read_ppm(path)
+    if ext != ".ppm":
+        try:
+            from PIL import Image
+        except ImportError as e:
+            raise DataError(f"{path}: non-PPM decode requires Pillow") from e
     try:
-        from PIL import Image
-    except ImportError as e:
-        raise DataError(f"{path}: non-PPM decode requires Pillow") from e
-    try:
+        if ext == ".ppm":
+            return read_ppm(path)
         with Image.open(path) as im:
             return np.asarray(im.convert("RGB"), dtype=np.float32)
     except OSError as e:
-        raise DataError(f"{path}: cannot decode image: {e}") from e
+        raise DataError(f"{path}: {e.strerror or e}") from e
 
 
 # -- COCO parsing ---------------------------------------------------------

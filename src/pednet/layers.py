@@ -22,25 +22,26 @@ def _pad(x, pads, value):
     return x
 
 
-def _im2col(x, k, stride, pads):
-    """Window view of a zero-padded (N,H,W,C) map as (N,Ho,Wo,k,k,C); only
-    padding copies."""
-    x = _pad(x, pads, 0.0)
-    win = sliding_window_view(x, (k, k), axis=(1, 2))
+def _windows(xp, k, stride, writeable=False):
+    """The (N,Ho,Wo,k,k,C) view of the k x k windows of a padded (N,H,W,C)
+    map at `stride`; no copy."""
+    win = sliding_window_view(xp, (k, k), axis=(1, 2), writeable=writeable)
     return win[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
 
 
-def _col2im(col, in_shape, stride, pads):
-    """Scatter-add the window gradient back onto the (unpadded) input."""
+def _col2im(cell_grads, in_shape, k, stride, pads, dtype):
+    """Sum the gradients of the k*k window cells, given in row-major order
+    as (N,Ho,Wo,C) arrays, onto the (unpadded) input the windows read."""
     n, h, w, c = in_shape
     (pt, pb), (pl, pr) = pads
-    _, ho, wo, kh, kw, _ = col.shape
-    out = np.zeros((n, h + pt + pb, w + pl + pr, c), dtype=col.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            out[:, i:i + ho * stride:stride,
-                j:j + wo * stride:stride, :] += col[:, :, :, i, j, :]
-    return out[:, pt:pt + h, pl:pl + w, :]
+    out = np.zeros((n, h + pt + pb, w + pl + pr, c), dtype)
+    # one cell of every window never aliases itself; overlapping windows
+    # add where their cells coincide
+    win = _windows(out, k, stride, writeable=True)
+    for t, g in enumerate(cell_grads):
+        cell = win[:, :, :, t // k, t % k]
+        cell += g
+    return out[:, pt:pt + h, pl:pl + w]
 
 
 def _first_max(arrays):
@@ -110,7 +111,7 @@ class Conv2D(Layer):
             raise ShapeError(f"conv2d expects (N,H,W,{self.in_channels}), got {x.shape}")
         pads = T.pad_amounts(x.shape[1], x.shape[2], self.kernel,
                              self.stride, self.padding)
-        col = _im2col(x, self.kernel, self.stride, pads)
+        col = _windows(_pad(x, pads, 0.0), self.kernel, self.stride)
         w2 = self.params["weight"].reshape(-1, self.filters)
         # a view of x for 1x1 stride 1: relies on no layer writing its input
         col2 = col.reshape(-1, w2.shape[0])
@@ -133,9 +134,12 @@ class Conv2D(Layer):
             # +0.0 as _col2im's sum onto zeros does
             dcol += 0
             return dcol.reshape(in_shape)
-        dcol = dcol.reshape(*upstream.shape[:3], self.kernel, self.kernel,
-                            self.in_channels)
-        return _col2im(dcol, in_shape, self.stride, pads)
+        # the columns of dcol run over (i, j, c), so iterating the moved
+        # axis gives the cells in row-major order
+        cells = np.moveaxis(dcol.reshape(*upstream.shape[:3], -1,
+                                         self.in_channels), 3, 0)
+        return _col2im(cells, in_shape, self.kernel, self.stride, pads,
+                       dcol.dtype)
 
 
 class BatchNorm(Layer):
@@ -236,38 +240,27 @@ class MaxPool2D(Layer):
         self.stride = stride
         self.padding = padding
 
-    def _cells(self, a, out_shape):
-        """Per kernel cell, row-major, the slice of the padded map `a` that
-        holds that cell of every window."""
-        k, s = self.kernel, self.stride
-        _, ho, wo, _ = out_shape
-        return [a[:, i:i + ho * s:s, j:j + wo * s:s]
-                for i in range(k) for j in range(k)]
-
     def forward(self, x, train=False, rng=None):
         if x.ndim != 4:
             raise ShapeError(f"maxpool2d expects rank-4 input, got {x.shape}")
         k, s = self.kernel, self.stride
         pads = T.pad_amounts(x.shape[1], x.shape[2], k, s, self.padding)
-        xp = _pad(x, pads, -np.inf)
-        out_shape = (x.shape[0], (xp.shape[1] - k) // s + 1,
-                     (xp.shape[2] - k) // s + 1, x.shape[3])
-        y, arg = _first_max(self._cells(xp, out_shape))
+        win = _windows(_pad(x, pads, -np.inf), k, s)
+        y, arg = _first_max([win[:, :, :, i, j]
+                             for i in range(k) for j in range(k)])
         self.cache = (arg, x.shape, pads)
         return y
 
     def backward(self, upstream):
         self._require_cache()
-        arg, (n, h, w, c), pads = self.cache
-        (pt, pb), (pl, pr) = pads
-        dxp = np.zeros((n, h + pt + pb, w + pl + pr, c), upstream.dtype)
+        arg, in_shape, pads = self.cache
         routed = np.empty_like(upstream)
-        for t, cell in enumerate(self._cells(dxp, upstream.shape)):
-            np.multiply(upstream, arg == t, out=routed)
-            # add, as windows may overlap; the sum onto zeros also turns the
-            # -0.0 of a negative gradient times a losing cell into +0.0
-            cell += routed
-        return dxp[:, pt:pt + h, pl:pl + w]
+        # the sum onto zeros also turns the -0.0 of a negative gradient
+        # times a losing cell into +0.0
+        return _col2im((np.multiply(upstream, arg == t, out=routed)
+                        for t in range(self.kernel ** 2)),
+                       in_shape, self.kernel, self.stride, pads,
+                       upstream.dtype)
 
 
 class GlobalAvgPool(Layer):

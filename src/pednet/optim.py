@@ -57,15 +57,11 @@ class SGDMomentum(Optimizer):
     kind = "sgd_momentum"
     slot_names = ("velocity",)
 
-    def __init__(self, lr: float, momentum: float = SGD_MOMENTUM):
-        super().__init__(lr)
-        self.momentum = momentum
-
     def _update(self, name, param, grad):
         if grad.shape != param.shape:
             raise OptimizerError(f"gradient shape mismatch for {name}")
         v = self._slot(name, param)["velocity"]
-        v *= param.dtype.type(self.momentum)
+        v *= param.dtype.type(SGD_MOMENTUM)
         v -= param.dtype.type(self.lr) * grad
         param += v
 
@@ -74,27 +70,20 @@ class Adam(Optimizer):
     kind = "adam"
     slot_names = ("m", "v")
 
-    def __init__(self, lr: float, beta1: float = ADAM_BETA1,
-                 beta2: float = ADAM_BETA2, epsilon: float = ADAM_EPSILON):
-        super().__init__(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
-
     def _update(self, name, param, grad):
         if grad.shape != param.shape:
             raise OptimizerError(f"gradient shape mismatch for {name}")
         dt = param.dtype.type
         slot = self._slot(name, param)
         m, v = slot["m"], slot["v"]
-        b1, b2 = dt(self.beta1), dt(self.beta2)
+        b1, b2 = dt(ADAM_BETA1), dt(ADAM_BETA2)
         m *= b1
         m += (dt(1.0) - b1) * grad
         v *= b2
         v += (dt(1.0) - b2) * grad * grad
-        mhat = m / dt(1.0 - self.beta1 ** self.t)
-        vhat = v / dt(1.0 - self.beta2 ** self.t)
-        param -= dt(self.lr) * mhat / (np.sqrt(vhat) + dt(self.epsilon))
+        mhat = m / dt(1.0 - ADAM_BETA1 ** self.t)
+        vhat = v / dt(1.0 - ADAM_BETA2 ** self.t)
+        param -= dt(self.lr) * mhat / (np.sqrt(vhat) + dt(ADAM_EPSILON))
 
 
 def make_optimizer(config: ModelConfig, lr: float | None = None) -> Optimizer:

@@ -74,12 +74,9 @@ class EarlyStopper:
         return self.bad_epochs >= self.patience
 
 
-def cross_entropy_loss(probs, labels, logits=None):
-    """Mean categorical cross-entropy and its gradient w.r.t. the logits.
-
-    When logits are given the loss uses a stable log-sum-exp; the gradient is
-    (probs - labels) / N either way.
-    """
+def cross_entropy_loss(probs, labels, logits):
+    """Mean categorical cross-entropy, by a stable log-sum-exp of the logits,
+    and its gradient (probs - labels) / N w.r.t. the logits."""
     if probs.shape != labels.shape or probs.ndim != 2:
         raise ShapeError(f"probs/labels shapes differ: {probs.shape} vs {labels.shape}")
     n = probs.shape[0]
@@ -90,12 +87,9 @@ def cross_entropy_loss(probs, labels, logits=None):
     if np.any(ones.sum(axis=1) != 1) or np.any((labels != 0) & ~ones):
         raise DataError("labels must be one-hot rows")
     true_idx = labels.argmax(axis=1)
-    if logits is not None:
-        z = logits - logits.max(axis=1, keepdims=True)
-        log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        loss = -log_probs[np.arange(n), true_idx].mean()
-    else:
-        loss = -np.log(probs[np.arange(n), true_idx]).mean()
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    loss = -log_probs[np.arange(n), true_idx].mean()
     grad = (probs - labels) / np.asarray(n, dtype=probs.dtype)
     return float(loss), grad.astype(probs.dtype)
 

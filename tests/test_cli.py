@@ -1,7 +1,9 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -187,6 +189,105 @@ class TestInfer:
             assert np.allclose([float(v) for v in got[2].split()],
                                [float(v) for v in want[2].split()],
                                rtol=0, atol=1e-6 + 1e-12)
+
+
+def _missing_crop_manifest(prepared, tmp_path, split):
+    """A copy of the prepared manifest whose first `split` row names a crop
+    that does not exist: (manifest path, that crop's path)."""
+    gone = str(tmp_path / f"gone_{split}.ppm")
+    lines = (prepared / "manifest.tsv").read_text().split("\n")
+    row = next(i for i, line in enumerate(lines)
+               if line.split("\t")[2:3] == [split])
+    lines[row] = "\t".join([gone] + lines[row].split("\t")[1:])
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("\n".join(lines))
+    return str(manifest), gone
+
+
+def _infer_missing_image(t):
+    manifest = data.read_manifest(t.prepared / "manifest.tsv")
+    gone = str(t.tmp / "gone.ppm")
+    good = [manifest.samples[0].path, manifest.samples[-1].path]
+    return (["infer", "--checkpoint", str(t.trained), good[0], gone, good[1]],
+            gone, 1)
+
+
+def _train_missing_crop(t):
+    manifest, gone = _missing_crop_manifest(t.prepared, t.tmp, "train")
+    return (["train", "--manifest", manifest, "--model-id", "8",
+             "--workdir", str(t.tmp / "w"), "--epochs", "1"], gone, 2)
+
+
+def _evaluate_missing_crop(t):
+    manifest, gone = _missing_crop_manifest(t.prepared, t.tmp, "test")
+    return (["evaluate", "--checkpoint", str(t.trained), "--manifest",
+             manifest, "--out", str(t.tmp)], gone, 2)
+
+
+def _prepare_missing_frame(t):
+    _, ann, frames = t.corpus
+    copy = t.tmp / "frames"
+    shutil.copytree(frames, copy)
+    gone = os.path.join(str(copy), sorted(os.listdir(copy))[2])
+    os.remove(gone)
+    return (["prepare", "--annotations", ann, "--frames", str(copy),
+             "--workdir", str(t.tmp / "w"), "--balance-target", "6"],
+            gone, 2)
+
+
+def _directory_checkpoint(command):
+    def case(t):
+        adir = str(t.tmp / "adir")
+        os.mkdir(adir)
+        manifest = str(t.prepared / "manifest.tsv")
+        image = data.read_manifest(manifest).samples[0].path
+        argv = {"inspect": ["inspect", adir],
+                "infer": ["infer", "--checkpoint", adir, image],
+                "evaluate": ["evaluate", "--checkpoint", adir,
+                             "--manifest", manifest]}[command]
+        return argv, adir, 2
+    return case
+
+
+def _corrupt_checkpoint(t):
+    bad = t.tmp / "bad.pdcn"
+    bad.write_bytes(b"NOPE" + b"\x00" * 64)
+    return ["inspect", str(bad)], str(bad), 2
+
+
+class TestFailures:
+    """Each input fails where it is read: one `error:` line on stderr that
+    names the file, no traceback, exit 2 (1 for infer's per-image case)."""
+
+    @pytest.mark.parametrize("case", [
+        _infer_missing_image, _train_missing_crop, _evaluate_missing_crop,
+        _prepare_missing_frame, _directory_checkpoint("inspect"),
+        _directory_checkpoint("infer"), _directory_checkpoint("evaluate"),
+        _corrupt_checkpoint,
+    ], ids=["infer_missing_image", "train_missing_crop",
+            "evaluate_missing_crop", "prepare_missing_frame",
+            "inspect_directory_checkpoint", "infer_directory_checkpoint",
+            "evaluate_directory_checkpoint", "corrupt_checkpoint"])
+    def test_names_the_file(self, case, corpus, prepared, trained, tmp_path):
+        argv, named, code = case(SimpleNamespace(
+            corpus=corpus, prepared=prepared, trained=trained, tmp=tmp_path))
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run([sys.executable, "-m", "pednet.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines()
+                  if "error: " in line]
+        assert len(errors) == 1, proc.stderr
+        if code == 2:
+            assert errors[0].startswith(f"error: {named}: "), errors[0]
+        else:  # the bad image is reported; the others are classified
+            assert errors[0].startswith(f"{named}\terror: "), errors[0]
+            assert [line.split("\t")[0] for line in
+                    proc.stdout.strip().split("\n")] == \
+                [path for path in argv[3:] if path != named]
 
 
 class TestConfigFile:

@@ -1,11 +1,13 @@
 """Static checks of the repository layout; nothing here imports the package.
 
 Every public top-level function and class of `src/pednet` has a caller in
-the program (`src/`, `scripts/`, `perfbench/`), not only in the tests, and
-no script reaches into the test suite.
+the program (`src/`, `scripts/`, `perfbench/`), not only in the tests, no
+script reaches into the test suite, and an OSError is caught only where an
+input is read or where the command line reports it.
 """
 
 import ast
+import builtins
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -89,4 +91,45 @@ def test_scripts_do_not_import_tests():
         for path in _python_files("scripts", "perfbench")
         for module in _imported_modules(_parse(path))
         if _is_test_module(module)]
+    assert not offenders, offenders
+
+
+# OSError and every built-in exception derived from it
+_OS_ERRORS = {name for name, value in vars(builtins).items()
+              if isinstance(value, type) and issubclass(value, OSError)}
+
+
+def _oserror_handlers(tree):
+    """Name of the innermost enclosing function (or None) of each `except`
+    clause that catches an OSError kind, alone or in a tuple."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = (node.type.elts if isinstance(node.type, ast.Tuple)
+                     else [node.type])
+            if any(isinstance(t, ast.Name) and t.id in _OS_ERRORS
+                   for t in types):
+                out.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return out
+
+
+def test_oserror_caught_only_where_read_or_reported():
+    probe = ast.parse("def f():\n    try: pass\n    except OSError: pass\n"
+                      "def g():\n    try: pass\n"
+                      "    except (ValueError, FileNotFoundError): pass\n"
+                      "    except ValueError: pass\n")
+    assert _oserror_handlers(probe) == ["f", "g"]
+    allowed = {("cli.py", "main"), ("data.py", "load_image")}
+    offenders = [
+        f"{os.path.relpath(path, ROOT)}: {func}"
+        for path in _python_files(os.path.join("src", "pednet"))
+        for func in _oserror_handlers(_parse(path))
+        if (os.path.basename(path), func) not in allowed]
     assert not offenders, offenders

@@ -246,9 +246,9 @@ class TestBackward:
             opt = optim.apply_phase(cfg, model, opt, p)
         scattered = []
 
-        def col2im(col, in_shape, *args, _real=layers._col2im):
+        def col2im(cell_grads, in_shape, *args, _real=layers._col2im):
             scattered.append(in_shape)
-            return _real(col, in_shape, *args)
+            return _real(cell_grads, in_shape, *args)
 
         monkeypatch.setattr(layers, "_col2im", col2im)
         calls = _spy(model)

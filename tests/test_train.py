@@ -15,13 +15,15 @@ class TestCrossEntropy:
         probs = one_hot([2, 4], dtype=np.float64)
         # nudge away from exact 0/1 so log is finite, as softmax would
         probs = probs * (1 - 1e-12) + 1e-12 / 6
-        loss, _ = cross_entropy_loss(probs, one_hot([2, 4], dtype=np.float64))
+        loss, _ = cross_entropy_loss(probs, one_hot([2, 4], dtype=np.float64),
+                                     logits=np.log(probs))
         assert loss < 1e-6
 
     def test_uniform_prediction(self):
         probs = np.full((3, 6), 1 / 6)
         loss, _ = cross_entropy_loss(probs, one_hot([0, 3, 5],
-                                                    dtype=np.float64))
+                                                    dtype=np.float64),
+                                     logits=np.log(probs))
         assert np.isclose(loss, np.log(6), atol=1e-9)
 
     def test_gradient_matches_finite_differences(self):
@@ -54,12 +56,13 @@ class TestCrossEntropy:
         bad[0, 0] = bad[0, 1] = 1.0  # two hot
         bad[1, 2] = 1.0
         with pytest.raises(DataError):
-            cross_entropy_loss(probs, bad)
+            cross_entropy_loss(probs, bad, logits=np.log(probs))
 
     def test_rows_must_sum_to_one(self):
         probs = np.full((1, 6), 0.3)
         with pytest.raises(ShapeError):
-            cross_entropy_loss(probs, one_hot([0], dtype=np.float64))
+            cross_entropy_loss(probs, one_hot([0], dtype=np.float64),
+                               logits=np.log(probs))
 
 
 class TestEvaluate:
@@ -236,6 +239,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError,
                            match="missing tensor param:block1_conv.weight"):
             ckpt.restore_model(cut)
+
+    def test_restore_wrong_shape_names_file_and_key(self, tmp_path):
+        cfg = models.registry_lookup(8)
+        path = tmp_path / "m8.pdcn"
+        ckpt.save_model(path, models.build_model(cfg, seed=0), cfg)
+        data = ckpt.read_checkpoint(path)
+        data.tensors["param:block2_bn.scale"] = np.ones(63, np.float32)
+        ckpt.write_checkpoint(path, data.meta, data.tensors)
+        with pytest.raises(CheckpointError) as err:
+            ckpt.restore_model(path)
+        assert str(path) in str(err.value)
+        assert "param:block2_bn.scale" in str(err.value)
 
     def test_restore_preserves_parameters(self, tmp_path):
         model, cfg, path = self._trained(tmp_path)
