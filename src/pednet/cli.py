@@ -38,23 +38,23 @@ def parse_config_file(path) -> dict:
     its value converted to the default's type; PednetError names the file
     and line of the first bad one."""
     values = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise PednetError(f"{path}:{lineno}: expected key = value")
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in _DEFAULTS:
-                raise PednetError(f"{path}:{lineno}: unknown key {key!r}")
-            kind = type(_DEFAULTS[key])
-            try:
-                values[key] = kind(raw)
-            except ValueError:
-                raise PednetError(f"{path}:{lineno}: {key} must be "
-                                  f"{kind.__name__}, got {raw!r}") from None
+    for lineno, line in enumerate(data.read_text(path).split("\n"),
+                                  start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise PednetError(f"{path}:{lineno}: expected key = value")
+        key, _, raw = line.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if key not in _DEFAULTS:
+            raise PednetError(f"{path}:{lineno}: unknown key {key!r}")
+        kind = type(_DEFAULTS[key])
+        try:
+            values[key] = kind(raw)
+        except ValueError:
+            raise PednetError(f"{path}:{lineno}: {key} must be "
+                              f"{kind.__name__}, got {raw!r}") from None
     return values
 
 

@@ -128,6 +128,17 @@ def load_image(path) -> np.ndarray:
         raise DataError(f"{path}: {e.strerror or e}") from e
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file, newlines as open() translates them; bytes
+    that are not UTF-8 are a DataError that names the file."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte "
+                            f"{e.start})") from None
+
+
 # -- COCO parsing ---------------------------------------------------------
 
 def parse_coco(document) -> tuple[list[AnnotationRecord], int]:
@@ -141,6 +152,8 @@ def parse_coco(document) -> tuple[list[AnnotationRecord], int]:
             document = json.loads(document)
         except json.JSONDecodeError as e:
             raise DataError(f"invalid COCO JSON: {e}") from e
+    if not isinstance(document, dict):
+        raise DataError("COCO document is not a JSON object")
     for key in ("images", "annotations", "categories"):
         if key not in document:
             raise DataError(f"COCO document missing {key!r} array")
@@ -373,26 +386,24 @@ def write_manifest(manifest: DatasetManifest, path):
 
 def read_manifest(path) -> DatasetManifest:
     samples = []
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n")
-        if header != _MANIFEST_HEADER:
-            raise DataError(f"{path}: unexpected manifest header")
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise DataError(f"{path}:{lineno}: malformed manifest line")
-            p, cls, split, origin, source_id = parts
-            if cls not in CLASS_NAMES or split not in SPLITS \
-                    or origin not in ("original", "augmented"):
-                raise DataError(f"{path}:{lineno}: invalid field value")
-            try:
-                samples.append(SampleRecord(p, cls, split, origin,
-                                            int(source_id)))
-            except ValueError as e:
-                raise DataError(f"{path}:{lineno}: bad source id") from e
+    header, *lines = read_text(path).split("\n")
+    if header != _MANIFEST_HEADER:
+        raise DataError(f"{path}: unexpected manifest header")
+    for lineno, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 5:
+            raise DataError(f"{path}:{lineno}: malformed manifest line")
+        p, cls, split, origin, source_id = parts
+        if cls not in CLASS_NAMES or split not in SPLITS \
+                or origin not in ("original", "augmented"):
+            raise DataError(f"{path}:{lineno}: invalid field value")
+        try:
+            samples.append(SampleRecord(p, cls, split, origin,
+                                        int(source_id)))
+        except ValueError as e:
+            raise DataError(f"{path}:{lineno}: bad source id") from e
     return DatasetManifest(samples)
 
 
@@ -403,8 +414,11 @@ def prepare_dataset(annotation_path, frames_dir, workdir,
                     seed: int = 0, ranges: AugmentRanges = AugmentRanges()
                     ) -> DatasetManifest:
     """parse -> crop -> split -> balance -> manifest, all under workdir."""
-    with open(annotation_path, "r", encoding="utf-8") as f:
-        records, _ = parse_coco(f.read())
+    document = read_text(annotation_path)
+    try:
+        records, _ = parse_coco(document)
+    except DataError as e:
+        raise DataError(f"{annotation_path}: {e}") from None
     crop_dir = os.path.join(workdir, "crops")
     samples = []
     # frame by frame, so that one decoded frame is held at a time

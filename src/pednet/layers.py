@@ -44,6 +44,20 @@ def _col2im(cell_grads, in_shape, k, stride, pads, dtype):
     return out[:, pt:pt + h, pl:pl + w]
 
 
+def _channel_sum(a, b=None):
+    """Per-channel sum of an (N,H,W,C) map, or of the product a * b of two,
+    in two levels: the N*H rows of W*C values, then the W rows of C values.
+    Each level adds whole rows, so numpy runs it at memory speed, and two
+    short running sums lose less than one of N*H*W terms."""
+    n, h, w, c = a.shape
+    rows = a.reshape(n * h, w * c)
+    # einsum adds the rows of products in the order a.sum(0) adds rows,
+    # without a product map in memory
+    first = (rows.sum(0) if b is None else
+             np.einsum("ij,ij->j", rows, b.reshape(n * h, w * c)))
+    return first.reshape(w, c).sum(0)
+
+
 def _first_max(arrays):
     """Elementwise max of equal-shaped arrays and the uint8 position of the
     first maximum: a later array takes the position only where it is
@@ -125,7 +139,7 @@ class Conv2D(Layer):
         w2 = self.params["weight"].reshape(-1, self.filters)
         g2 = upstream.reshape(-1, self.filters)
         self.grads["weight"] += (col2.T @ g2).reshape(self.params["weight"].shape)
-        self.grads["bias"] += g2.sum(axis=0)
+        self.grads["bias"] += _channel_sum(upstream)
         if not input_grad:
             return None
         dcol = g2 @ w2.T
@@ -143,6 +157,13 @@ class Conv2D(Layer):
 
 
 class BatchNorm(Layer):
+    """Batch normalisation over the (N, H, W) axes of each channel.
+
+    Every per-channel sum is `_channel_sum`'s two-level order. Train mode
+    caches the centred input x - mean, eval mode the input itself; x-hat is
+    never stored, since scale * inv_std folds into one coefficient.
+    """
+
     kind = "batchnorm"
 
     def __init__(self, channels, momentum=0.99, epsilon=1e-3,
@@ -156,15 +177,14 @@ class BatchNorm(Layer):
         self.state["moving_var"] = np.ones((channels,), dtype)
 
     def forward(self, x, train=False, rng=None):
-        if x.shape[-1] != self.channels:
-            raise ShapeError(f"batchnorm expects {self.channels} channels, got {x.shape}")
-        axes = tuple(range(x.ndim - 1))
+        if x.ndim != 4 or x.shape[3] != self.channels:
+            raise ShapeError(f"batchnorm expects (N,H,W,{self.channels}), got {x.shape}")
         if train:
-            mean = x.mean(axis=axes)
+            # in the data dtype: a numpy int64 count would promote float32
+            count = x.dtype.type(x.size // self.channels)
+            mean = _channel_sum(x) / count
             xc = x - mean
-            out = xc * xc
-            # the same sum and division by the count as x.var(axis=axes)
-            var = out.mean(axis=axes)
+            var = _channel_sum(xc, xc) / count
             m = np.asarray(self.momentum, dtype=x.dtype)
             one = np.asarray(1.0, dtype=x.dtype)
             self.state["moving_mean"] = (m * self.state["moving_mean"]
@@ -174,41 +194,43 @@ class BatchNorm(Layer):
         else:
             mean = self.state["moving_mean"]
             var = self.state["moving_var"]
-            xc = x - mean
-            out = np.empty_like(xc)
+            # x itself, centred by backward: relies on no layer writing
+            # its input
+            xc = x
         inv_std = 1.0 / np.sqrt(var + np.asarray(self.epsilon, dtype=x.dtype))
-        xhat = xc
-        xhat *= inv_std
-        self.cache = (xhat, inv_std, axes, train, x.shape)
-        np.multiply(self.params["scale"], xhat, out=out)
+        self.cache = (xc, mean, inv_std, train)
+        coef = self.params["scale"] * inv_std
+        if train:
+            out = xc * coef
+        else:
+            out = x - mean
+            out *= coef
         out += self.params["shift"]
         return out
 
     def backward(self, upstream, input_grad=True):
         self._require_cache()
-        xhat, inv_std, axes, train, shape = self.cache
-        scratch = upstream * xhat
-        self.grads["scale"] += scratch.sum(axis=axes)
-        self.grads["shift"] += upstream.sum(axis=axes)
+        xc, mean, inv_std, train = self.cache
+        if not train:
+            xc = xc - mean
+        # sum(up * xhat) with xhat = xc * inv_std
+        dscale = _channel_sum(upstream, xc) * inv_std
+        dshift = _channel_sum(upstream)
+        self.grads["scale"] += dscale
+        self.grads["shift"] += dshift
         if not input_grad:
             return None
-        g = upstream * self.params["scale"]
+        coef = self.params["scale"] * inv_std
         if not train:
-            g *= inv_std
-            return g
-        # in the data dtype: a numpy int64 count would promote float32 to float64
-        m = xhat.dtype.type(np.prod([shape[a] for a in axes]))
-        # full batch-statistics derivative, in place and in this order:
-        # (inv_std / m) * ((m * g - sum(g)) - xhat * sum(g * xhat))
-        sum_g = g.sum(axis=axes)
-        np.multiply(g, xhat, out=scratch)
-        sum_gx = scratch.sum(axis=axes)
-        g *= m
-        g -= sum_g
-        np.multiply(xhat, sum_gx, out=scratch)
-        g -= scratch
-        g *= inv_std / m
-        return g
+            return upstream * coef
+        count = xc.dtype.type(xc.size // self.channels)
+        # the batch-statistics derivative in one buffer:
+        # dx = coef * (up - sum(up) / m - xhat * sum(up * xhat) / m)
+        dx = xc * (inv_std * dscale / count)
+        np.subtract(upstream, dx, out=dx)
+        dx -= dshift / count
+        dx *= coef
+        return dx
 
 
 class ReLU(Layer):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pednet import checkpoint as ckpt
-from pednet import cli, data
+from pednet import cli, data, train
 
 from conftest import make_synthetic_corpus
 
@@ -146,8 +146,16 @@ class TestInfer:
         rc = cli.main(["infer", "--checkpoint", str(trained), image])
         assert rc == 0
         line = capsys.readouterr().out.strip().split("\n")[-1]
-        probs = [float(v) for v in line.split("\t")[2].split()]
-        assert abs(sum(probs) - 1.0) < 1e-6
+        printed = [float(v) for v in line.split("\t")[2].split()]
+        model, _, _, _ = ckpt.restore_model(trained)
+        crop = data.bilinear_resize(data.load_image(image), data.CROP_SIZE,
+                                    data.CROP_SIZE)
+        probs, _ = train.predict(model,
+                                 crop[None].astype(np.float32) / 255.0)
+        row = probs[0].astype(np.float64)
+        assert abs(row.sum() - 1.0) < 1e-6
+        # six printed decimals: each within half a unit in the last place
+        assert np.abs(np.array(printed) - row).max() <= 5e-7 + 1e-12
 
     def test_same_image_identical_output(self, trained, prepared, capsys):
         manifest = data.read_manifest(prepared / "manifest.tsv")
@@ -249,6 +257,57 @@ def _directory_checkpoint(command):
     return case
 
 
+def _not_utf8(t, name):
+    """A text file whose first byte, 0xff, can never start UTF-8."""
+    bad = t.tmp / name
+    bad.write_bytes(b"\xff" + b"seed = 1\n")
+    return str(bad)
+
+
+def _prepare_argv(t, annotations, *extra):
+    _, _, frames = t.corpus
+    return ["prepare", "--annotations", annotations, "--frames", frames,
+            "--workdir", str(t.tmp / "w"), "--balance-target", "6", *extra]
+
+
+def _annotations_not_utf8(t):
+    bad = _not_utf8(t, "ann.json")
+    return _prepare_argv(t, bad), bad, 2
+
+
+def _config_not_utf8(t):
+    _, ann, _ = t.corpus
+    bad = _not_utf8(t, "run.cfg")
+    return _prepare_argv(t, ann, "--config", bad), bad, 2
+
+
+def _manifest_not_utf8(t):
+    bad = _not_utf8(t, "manifest.tsv")
+    return (["train", "--manifest", bad, "--model-id", "8",
+             "--workdir", str(t.tmp / "w"), "--epochs", "1"], bad, 2)
+
+
+def _coco_document(edit):
+    """A copy of the corpus annotations changed by `edit(document)`."""
+    def case(t):
+        _, ann, _ = t.corpus
+        with open(ann, encoding="utf-8") as f:
+            document = json.load(f)
+        edit(document)
+        changed = t.tmp / "ann.json"
+        changed.write_text(json.dumps(document), encoding="utf-8")
+        return _prepare_argv(t, str(changed)), str(changed), 2
+    return case
+
+
+def _unknown_category(document):
+    document["categories"][0]["name"] = "nobody"
+
+
+def _missing_annotations(document):
+    del document["annotations"]
+
+
 def _corrupt_checkpoint(t):
     bad = t.tmp / "bad.pdcn"
     bad.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -263,11 +322,15 @@ class TestFailures:
         _infer_missing_image, _train_missing_crop, _evaluate_missing_crop,
         _prepare_missing_frame, _directory_checkpoint("inspect"),
         _directory_checkpoint("infer"), _directory_checkpoint("evaluate"),
-        _corrupt_checkpoint,
+        _corrupt_checkpoint, _annotations_not_utf8, _config_not_utf8,
+        _manifest_not_utf8, _coco_document(_unknown_category),
+        _coco_document(_missing_annotations),
     ], ids=["infer_missing_image", "train_missing_crop",
             "evaluate_missing_crop", "prepare_missing_frame",
             "inspect_directory_checkpoint", "infer_directory_checkpoint",
-            "evaluate_directory_checkpoint", "corrupt_checkpoint"])
+            "evaluate_directory_checkpoint", "corrupt_checkpoint",
+            "annotations_not_utf8", "config_not_utf8", "manifest_not_utf8",
+            "coco_unknown_category", "coco_missing_annotations"])
     def test_names_the_file(self, case, corpus, prepared, trained, tmp_path):
         argv, named, code = case(SimpleNamespace(
             corpus=corpus, prepared=prepared, trained=trained, tmp=tmp_path))

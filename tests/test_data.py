@@ -54,6 +54,11 @@ class TestParseCoco:
         with pytest.raises(DataError, match="Dog"):
             data.parse_coco(doc)
 
+    @pytest.mark.parametrize("doc", ["5", "[]", '"images"'])
+    def test_not_an_object(self, doc):
+        with pytest.raises(DataError, match="not a JSON object"):
+            data.parse_coco(doc)
+
     def test_missing_bbox_skipped(self):
         doc = coco_doc([
             {"id": 1, "image_id": 1, "category_id": 0, "bbox": [0, 0, 3, 3]},
