@@ -10,11 +10,13 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
+from .models import CLASS_NAMES, ModelConfig, build_model
+from .optim import make_optimizer
 
 MAGIC = b"PDCN"
 VERSION = 1
@@ -129,10 +131,9 @@ def model_tensors(model, optimizer=None) -> dict[str, np.ndarray]:
 
 def save_model(path, model, config, optimizer=None, history=None,
                extra_meta=None):
-    from dataclasses import asdict
     meta = {
         "config": asdict(config),
-        "class_order": list(model.class_names),
+        "class_order": list(CLASS_NAMES),
         "trainable_nodes": [n.name for n in model.nodes if n.layer.trainable],
         "epoch": history.records[-1].epoch if history and history.records else 0,
         "history_digest": history_digest(history.records) if history else None,
@@ -146,15 +147,16 @@ def save_model(path, model, config, optimizer=None, history=None,
 
 
 def restore_model(path):
-    """Rebuild (model, config, optimizer-or-None, meta) from a checkpoint."""
-    from .models import ModelConfig, build_model
-    from .optim import make_optimizer
-
+    """Rebuild (model, config, optimizer-or-None, meta) from a checkpoint;
+    metadata that does not describe a registry model is a CheckpointError
+    that names the file."""
     data = read_checkpoint(path)
-    cfg_dict = dict(data.meta.get("config", {}))
-    cfg_dict.pop("pretrained", None)
-    config = ModelConfig(pretrained=None, **cfg_dict)
-    model = build_model(config)
+    cfg = _field(path, data.meta, "config", "metadata")
+    try:
+        config = ModelConfig(**{**cfg, "pretrained": None})
+        model = build_model(config)
+    except (TypeError, ConfigError) as e:
+        raise CheckpointError(f"{path}: metadata config: {e}") from None
     assign_tensors(model, _require(path, data.tensors, model_tensors(model),
                                    "tensor"))
     trainable = set(data.meta.get("trainable_nodes", []))
@@ -162,13 +164,22 @@ def restore_model(path):
         node.layer.trainable = node.name in trainable
     opt = None
     if "optimizer" in data.meta:
-        opt = make_optimizer(config, lr=data.meta["optimizer"]["lr"])
-        opt.t = data.meta["optimizer"]["t"]
+        block = data.meta["optimizer"]
+        opt = make_optimizer(config, lr=_field(path, block, "lr",
+                                               "optimizer metadata"))
+        opt.t = _field(path, block, "t", "optimizer metadata")
         for key, arr in data.tensors.items():
             if key.startswith("slot:"):
                 _, pname, sname = key.split(":", 2)
                 opt.slots.setdefault(pname, {})[sname] = arr.copy()
     return model, config, opt, data.meta
+
+
+def _field(path, block, key, where):
+    """block[key] of checkpoint metadata; CheckpointError names the file."""
+    if not isinstance(block, dict) or key not in block:
+        raise CheckpointError(f"{path}: {where} has no {key!r}")
+    return block[key]
 
 
 def assign_tensors(model, tensors: dict[str, np.ndarray]):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -18,18 +19,16 @@ from . import data, metrics, train
 from .errors import PednetError
 from .models import (CLASS_NAMES, build_model, registry_lookup)
 
+# setting -> train.TrainConfig field
+_TRAIN_FIELDS = {"seed": "seed", "batch_size": "batch_size",
+                 "epochs": "max_epochs_phase1",
+                 "epochs_phase2": "max_epochs_phase2", "patience": "patience"}
+_AUGMENT_DEFAULTS = asdict(data.AugmentRanges())
 _DEFAULTS = {
-    "seed": 0,
-    "batch_size": 8,
-    "epochs": 70,
-    "epochs_phase2": 30,
-    "patience": 10,
+    **{key: getattr(train.TrainConfig(), name)
+       for key, name in _TRAIN_FIELDS.items()},
     "balance_target": 5000,
-    "rotation_deg": 15.0,
-    "shift_frac": 0.10,
-    "shear_deg": 10.0,
-    "zoom_frac": 0.10,
-    "flip_prob": 0.5,
+    **_AUGMENT_DEFAULTS,
 }
 
 
@@ -74,13 +73,6 @@ def _print_config(cfg: dict):
         print(f"config {key} = {cfg[key]}")
 
 
-def _aug_ranges(cfg) -> data.AugmentRanges:
-    return data.AugmentRanges(
-        rotation_deg=cfg["rotation_deg"], shift_frac=cfg["shift_frac"],
-        shear_deg=cfg["shear_deg"], zoom_frac=cfg["zoom_frac"],
-        flip_prob=cfg["flip_prob"])
-
-
 def cmd_prepare(args) -> int:
     cfg = resolve_config(args)
     _print_config(cfg)
@@ -88,7 +80,7 @@ def cmd_prepare(args) -> int:
     manifest = data.prepare_dataset(
         args.annotations, args.frames, args.workdir,
         target=cfg["balance_target"], seed=cfg["seed"],
-        ranges=_aug_ranges(cfg))
+        ranges=data.AugmentRanges(**{k: cfg[k] for k in _AUGMENT_DEFAULTS}))
     print(f"{'class':<16} {'train':>7} {'val':>7} {'test':>7}")
     for name in CLASS_NAMES:
         row = [manifest.per_class_counts(s)[name] for s in data.SPLITS]
@@ -121,14 +113,12 @@ def cmd_train(args) -> int:
     cfg = resolve_config(args)
     _print_config(cfg)
     config = registry_lookup(args.model_id)
+    tc = train.TrainConfig(**{name: cfg[key]
+                              for key, name in _TRAIN_FIELDS.items()})
     manifest = data.read_manifest(args.manifest)
     x_train, y_train = data.load_split_arrays(manifest, "train")
     x_val, y_val = data.load_split_arrays(manifest, "val")
     model = build_model(config, seed=cfg["seed"])
-    tc = train.TrainConfig(seed=cfg["seed"], batch_size=cfg["batch_size"],
-                           max_epochs_phase1=cfg["epochs"],
-                           max_epochs_phase2=cfg["epochs_phase2"],
-                           patience=cfg["patience"])
     history = train.train(model, config, tc, x_train, y_train, x_val, y_val)
     os.makedirs(args.workdir, exist_ok=True)
     ckpt_path = os.path.join(args.workdir, f"model{config.model_id}.pdcn")

@@ -21,6 +21,7 @@ from .models import CLASS_NAMES
 _CLASS_BY_LOWER = {name.lower(): name for name in CLASS_NAMES}
 
 SPLITS = ("train", "val", "test")
+SPLIT_RATIOS = (0.7, 0.2, 0.1)  # train/val/test share of each class
 CROP_SIZE = 99
 
 
@@ -141,17 +142,23 @@ def read_text(path) -> str:
 
 # -- COCO parsing ---------------------------------------------------------
 
-def parse_coco(document) -> tuple[list[AnnotationRecord], int]:
-    """Parse a COCO-format document (text or dict).
+def _entry_field(entry, key, what):
+    """entry[key]; a DataError names `what` when the entry lacks the key."""
+    if key not in entry:
+        raise DataError(f"{what} has no {key!r}")
+    return entry[key]
+
+
+def parse_coco(text: str) -> tuple[list[AnnotationRecord], int]:
+    """Parse the text of a COCO-format annotation file.
 
     Returns records sorted by annotation id plus the count of annotations
     skipped for a missing bbox.
     """
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as e:
-            raise DataError(f"invalid COCO JSON: {e}") from e
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DataError(f"invalid COCO JSON: {e}") from e
     if not isinstance(document, dict):
         raise DataError("COCO document is not a JSON object")
     for key in ("images", "annotations", "categories"):
@@ -163,8 +170,9 @@ def parse_coco(document) -> tuple[list[AnnotationRecord], int]:
         mapped = _CLASS_BY_LOWER.get(name.lower())
         if mapped is None:
             raise DataError(f"unknown category name {name!r}")
-        cat_map[cat["id"]] = mapped
-    images = {img["id"]: img["file_name"] for img in document["images"]}
+        cat_map[_entry_field(cat, "id", f"category {name!r}")] = mapped
+    images = {_entry_field(img, "id", "an image"): img
+              for img in document["images"]}
     records = []
     skipped = 0
     for ann in document["annotations"]:
@@ -172,19 +180,27 @@ def parse_coco(document) -> tuple[list[AnnotationRecord], int]:
         if not bbox or len(bbox) != 4:
             skipped += 1
             continue
-        if ann["category_id"] not in cat_map:
-            raise DataError(f"annotation {ann.get('id')} references "
-                            f"unknown category id {ann['category_id']}")
-        if ann["image_id"] not in images:
-            raise DataError(f"annotation {ann.get('id')} references "
-                            f"unknown image id {ann['image_id']}")
-        records.append(AnnotationRecord(
-            ann_id=int(ann["id"]),
-            image_id=int(ann["image_id"]),
-            file_name=images[ann["image_id"]],
-            bbox=tuple(float(v) for v in bbox),
-            class_name=cat_map[ann["category_id"]],
-        ))
+        ann_id = _entry_field(ann, "id", "an annotation")
+        category_id = _entry_field(ann, "category_id", f"annotation {ann_id}")
+        image_id = _entry_field(ann, "image_id", f"annotation {ann_id}")
+        if category_id not in cat_map:
+            raise DataError(f"annotation {ann_id} references "
+                            f"unknown category id {category_id}")
+        if image_id not in images:
+            raise DataError(f"annotation {ann_id} references "
+                            f"unknown image id {image_id}")
+        try:
+            box = tuple(float(v) for v in bbox)
+            ids = int(ann_id), int(image_id)
+        except (TypeError, ValueError):
+            box = None
+        if box is None or not all(map(math.isfinite, box)):
+            raise DataError(f"annotation {ann_id}: id, image_id and bbox "
+                            f"must be finite numbers, got bbox {bbox!r}")
+        file_name = _entry_field(images[image_id], "file_name",
+                                 f"image {image_id}")
+        records.append(AnnotationRecord(*ids, file_name, box,
+                                        cat_map[category_id]))
     records.sort(key=lambda r: r.ann_id)
     return records, skipped
 
@@ -255,9 +271,6 @@ class AugmentRanges:
     flip_prob: float = 0.5
 
 
-IDENTITY_PARAMS = AugmentParams(False, 0.0, 0.0, 0.0, 0.0, 1.0)
-
-
 def draw_augment_params(rng: np.random.Generator,
                         ranges: AugmentRanges = AugmentRanges()) -> AugmentParams:
     return AugmentParams(
@@ -289,8 +302,6 @@ def _affine_matrix(params: AugmentParams, h: int, w: int) -> np.ndarray:
 def augment(image: np.ndarray, params: AugmentParams) -> np.ndarray:
     """Single composed affine warp, bilinear sampling, nearest-edge fill."""
     h, w = image.shape[:2]
-    if params == IDENTITY_PARAMS:
-        return image.copy()
     inv = np.linalg.inv(_affine_matrix(params, h, w))
     yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
                          np.arange(w, dtype=np.float64), indexing="ij")
@@ -301,17 +312,10 @@ def augment(image: np.ndarray, params: AugmentParams) -> np.ndarray:
 
 # -- split and balance ----------------------------------------------------
 
-def _ratio_counts(n: int, ratios) -> tuple[int, int, int]:
-    n_train = int(math.floor(n * ratios[0] + 1e-9))
-    n_val = int(math.floor(n * ratios[1] + 1e-9))
-    return n_train, n_val, n - n_train - n_val
-
-
 def stratified_split(records: list[SampleRecord],
-                     ratios=(0.7, 0.2, 0.1), seed: int = 0) -> DatasetManifest:
-    """Class-wise seeded shuffle then floor/floor/remainder assignment."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise DataError(f"split ratios must sum to 1, got {ratios}")
+                     seed: int = 0) -> DatasetManifest:
+    """Class-wise seeded shuffle then floor/floor/remainder assignment of
+    SPLIT_RATIOS."""
     by_class: dict[str, list[SampleRecord]] = {n: [] for n in CLASS_NAMES}
     for rec in records:
         if rec.class_name not in by_class:
@@ -328,7 +332,8 @@ def stratified_split(records: list[SampleRecord],
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([seed, 10, ci])))
         order = rng.permutation(len(recs))
-        n_train, n_val, _ = _ratio_counts(len(recs), ratios)
+        n_train = int(math.floor(len(recs) * SPLIT_RATIOS[0] + 1e-9))
+        n_val = int(math.floor(len(recs) * SPLIT_RATIOS[1] + 1e-9))
         for pos, idx in enumerate(order):
             split = ("train" if pos < n_train
                      else "val" if pos < n_train + n_val else "test")
@@ -409,14 +414,14 @@ def read_manifest(path) -> DatasetManifest:
 
 # -- end-to-end preparation ----------------------------------------------
 
-def prepare_dataset(annotation_path, frames_dir, workdir,
-                    ratios=(0.7, 0.2, 0.1), target: int = 5000,
+def prepare_dataset(annotation_path, frames_dir, workdir, target: int,
                     seed: int = 0, ranges: AugmentRanges = AugmentRanges()
                     ) -> DatasetManifest:
-    """parse -> crop -> split -> balance -> manifest, all under workdir."""
-    document = read_text(annotation_path)
+    """parse -> crop -> split -> balance -> manifest, all under workdir; an
+    annotation that cannot be parsed or cropped is a DataError that names
+    the annotation file."""
     try:
-        records, _ = parse_coco(document)
+        records, _ = parse_coco(read_text(annotation_path))
     except DataError as e:
         raise DataError(f"{annotation_path}: {e}") from None
     crop_dir = os.path.join(workdir, "crops")
@@ -427,7 +432,10 @@ def prepare_dataset(annotation_path, frames_dir, workdir,
                                              key=lambda r: r.file_name):
         frame = load_image(os.path.join(frames_dir, file_name))
         for rec in recs:
-            crop = crop_and_resize(frame, rec)
+            try:
+                crop = crop_and_resize(frame, rec)
+            except DataError as e:
+                raise DataError(f"{annotation_path}: {e}") from None
             out_dir = os.path.join(crop_dir, class_slug(rec.class_name))
             os.makedirs(out_dir, exist_ok=True)
             path = os.path.join(out_dir, f"crop_{rec.ann_id:08d}.ppm")
@@ -435,7 +443,7 @@ def prepare_dataset(annotation_path, frames_dir, workdir,
             samples.append(SampleRecord(path, rec.class_name, "train",
                                         "original", rec.ann_id))
         del frame  # before the next frame is decoded
-    manifest = stratified_split(samples, ratios, seed)
+    manifest = stratified_split(samples, seed)
     manifest = balance_train(manifest, target, seed,
                              os.path.join(workdir, "augmented"), ranges)
     write_manifest(manifest, os.path.join(workdir, "manifest.tsv"))
@@ -474,17 +482,17 @@ CLASS_COLORS = np.array([
 ], dtype=np.float32)
 
 
-def make_synthetic_corpus(root, per_class_counts, frame_hw=(120, 160),
-                          seed=7, noise=12.0):
+def make_synthetic_corpus(root, per_class_counts, seed=7):
     """Write frames + a COCO annotation file for a toy corpus.
 
-    Each frame holds a single class-colored pedestrian box on a gray
-    background. Returns (annotations path, frames dir).
+    Each 120x160 frame holds a single 80x60 class-colored pedestrian box,
+    with Gaussian noise of standard deviation 12, on a gray background.
+    Returns (annotations path, frames dir).
     """
     frames_dir = os.path.join(root, "frames")
     os.makedirs(frames_dir, exist_ok=True)
     rng = np.random.default_rng(seed)
-    h, w = frame_hw
+    h, w = 120, 160
     images, annotations = [], []
     ann_id = 1
     for c, count in enumerate(per_class_counts):
@@ -493,7 +501,7 @@ def make_synthetic_corpus(root, per_class_counts, frame_hw=(120, 160),
             bx = int(rng.integers(0, w - 60))
             by = int(rng.integers(0, h - 80))
             patch = (CLASS_COLORS[c]
-                     + rng.normal(0, noise, (80, 60, 3)).astype(np.float32))
+                     + rng.normal(0, 12.0, (80, 60, 3)).astype(np.float32))
             frame[by:by + 80, bx:bx + 60] = np.clip(patch, 0, 255)
             fname = f"frame_{ann_id:05d}.ppm"
             write_ppm(os.path.join(frames_dir, fname), frame)

@@ -12,6 +12,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import tensor as T
 from .errors import ShapeError, StateError
 
+# Keras BatchNormalization defaults, which the paper's models train with
+BN_MOMENTUM = 0.99
+BN_EPSILON = 1e-3
+
 
 def _pad(x, pads, value):
     """x with `pads` cells of `value` around its two spatial axes."""
@@ -109,7 +113,7 @@ class Conv2D(Layer):
     kind = "conv2d"
 
     def __init__(self, filters, kernel, in_channels, stride=1,
-                 padding=T.SAME_PRESERVING, seed=0, dtype=T.DEFAULT_DTYPE):
+                 padding=T.SAME_CEIL, seed=0, dtype=T.DEFAULT_DTYPE):
         super().__init__(
             weight=T.he_normal((kernel, kernel, in_channels, filters), seed,
                                dtype),
@@ -166,13 +170,10 @@ class BatchNorm(Layer):
 
     kind = "batchnorm"
 
-    def __init__(self, channels, momentum=0.99, epsilon=1e-3,
-                 dtype=T.DEFAULT_DTYPE):
+    def __init__(self, channels, dtype=T.DEFAULT_DTYPE):
         super().__init__(scale=np.ones((channels,), dtype),
                          shift=np.zeros((channels,), dtype))
         self.channels = channels
-        self.momentum = momentum
-        self.epsilon = epsilon
         self.state["moving_mean"] = np.zeros((channels,), dtype)
         self.state["moving_var"] = np.ones((channels,), dtype)
 
@@ -185,7 +186,7 @@ class BatchNorm(Layer):
             mean = _channel_sum(x) / count
             xc = x - mean
             var = _channel_sum(xc, xc) / count
-            m = np.asarray(self.momentum, dtype=x.dtype)
+            m = np.asarray(BN_MOMENTUM, dtype=x.dtype)
             one = np.asarray(1.0, dtype=x.dtype)
             self.state["moving_mean"] = (m * self.state["moving_mean"]
                                          + (one - m) * mean)
@@ -197,7 +198,7 @@ class BatchNorm(Layer):
             # x itself, centred by backward: relies on no layer writing
             # its input
             xc = x
-        inv_std = 1.0 / np.sqrt(var + np.asarray(self.epsilon, dtype=x.dtype))
+        inv_std = 1.0 / np.sqrt(var + np.asarray(BN_EPSILON, dtype=x.dtype))
         self.cache = (xc, mean, inv_std, train)
         coef = self.params["scale"] * inv_std
         if train:

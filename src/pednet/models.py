@@ -79,10 +79,10 @@ class _Node:
 
 class Model:
     def __init__(self, architecture: str, pooling: str):
+        if pooling not in ("GAP", "MP"):
+            raise ConfigError(f"pooling must be GAP or MP, got {pooling!r}")
         self.architecture = architecture
         self.pooling = pooling
-        self.class_names = CLASS_NAMES
-        self.input_spec = INPUT_SPEC
         self.nodes: list[_Node] = []
         self.backbone_len = 0  # leading node count forming the frozen backbone
 
@@ -97,8 +97,8 @@ class Model:
     # -- execution --------------------------------------------------------
 
     def forward(self, x, train=False, rng=None):
-        if x.shape[1:] != self.input_spec:
-            raise ShapeError(f"expected input (N,{self.input_spec}), got {x.shape}")
+        if x.shape[1:] != INPUT_SPEC:
+            raise ShapeError(f"expected input (N,{INPUT_SPEC}), got {x.shape}")
         outs = []
         for node in self.nodes:
             args = [x if i == -1 else outs[i] for i in node.inputs]
@@ -196,13 +196,11 @@ def _head(model: Model, seed: int, channels: int, spatial: int, start: int):
 
 def build_custom_cnn(pooling: str, seed: int = 0) -> Model:
     """Four conv blocks (32/64/128/256) then the pooling-specific head."""
-    if pooling not in ("GAP", "MP"):
-        raise ConfigError(f"pooling must be GAP or MP, got {pooling!r}")
     m = Model("custom", pooling)
     in_ch = 3
     for b, filters in enumerate((32, 64, 128, 256), start=1):
         m.add(f"block{b}_conv", L.Conv2D(filters, 3, in_ch, stride=1,
-                                         padding=T.SAME_PRESERVING,
+                                         padding=T.SAME_CEIL,
                                          seed=_layer_seed(seed, b)))
         m.add(f"block{b}_bn", L.BatchNorm(filters))
         m.add(f"block{b}_relu", L.ReLU())
@@ -224,7 +222,7 @@ def _bottleneck(m: Model, name: str, in_idx: int, in_ch: int, width: int,
     a = m.add(f"{name}_bn1", L.BatchNorm(width), [a])
     a = m.add(f"{name}_relu1", L.ReLU(), [a])
     a = m.add(f"{name}_conv2", L.Conv2D(width, 3, width, stride=1,
-                                        padding=T.SAME_PRESERVING,
+                                        padding=T.SAME_CEIL,
                                         seed=_layer_seed(seed, sidx + 1)), [a])
     a = m.add(f"{name}_bn2", L.BatchNorm(width), [a])
     a = m.add(f"{name}_relu2", L.ReLU(), [a])
@@ -248,8 +246,6 @@ def build_resnet50(pooling: str, weights: str | None = None,
                    seed: int = 0) -> Model:
     """50-layer residual backbone (stages 3/4/6/3, widths 64/128/256/512 x4)
     plus the classification head; backbone starts frozen."""
-    if pooling not in ("GAP", "MP"):
-        raise ConfigError(f"pooling must be GAP or MP, got {pooling!r}")
     m = Model("resnet50", pooling)
     m.add("stem_conv", L.Conv2D(64, 7, 3, stride=2, padding=T.SAME_CEIL,
                                 seed=_layer_seed(seed, 0)))

@@ -17,11 +17,8 @@ from .errors import NumericError, ShapeError
 DEFAULT_DTYPE = np.float32
 
 # Padding modes for 2-d sliding-window ops.
-SAME_PRESERVING = "same_preserving"  # stride 1, output extent == input extent
-SAME_CEIL = "same_ceil"              # output extent == ceil(input / stride)
-VALID_FLOOR = "valid_floor"          # no padding, floor arithmetic
-
-_PADDING_MODES = (SAME_PRESERVING, SAME_CEIL, VALID_FLOOR)
+SAME_CEIL = "same_ceil"      # output extent == ceil(input / stride)
+VALID_FLOOR = "valid_floor"  # no padding, floor arithmetic
 
 
 def pad_amounts(h: int, w: int, kernel: int, stride: int,
@@ -29,13 +26,11 @@ def pad_amounts(h: int, w: int, kernel: int, stride: int,
     """((top, bottom), (left, right)) zero-padding of an (h, w) map for a
     square kernel/stride window; the odd pixel goes after (TF convention).
 
-    same_preserving keeps the extent (stride 1 only), same_ceil gives
-    ceil(extent / stride), valid_floor pads nothing and floors.
+    same_ceil gives ceil(extent / stride), so stride 1 keeps the extent;
+    valid_floor pads nothing and floors.
     """
-    if padding not in _PADDING_MODES:
+    if padding not in (SAME_CEIL, VALID_FLOOR):
         raise ShapeError(f"unknown padding mode {padding!r}")
-    if padding == SAME_PRESERVING and stride != 1:
-        raise ShapeError("same_preserving requires stride 1")
     pads = []
     for extent in (h, w):
         if padding == VALID_FLOOR:
@@ -56,16 +51,10 @@ def check_finite(x: np.ndarray, context: str = "tensor") -> np.ndarray:
     return x
 
 
-def he_fan_in(shape: tuple[int, ...]) -> int:
-    """Fan-in for He initialization: all axes but the last (output) one.
-
-    Conv kernels are stored (kh, kw, c_in, filters) and dense kernels
-    (inputs, units), so the product of leading axes is the fan-in in both.
-    """
-    return int(np.prod(shape[:-1])) if len(shape) > 1 else int(shape[0])
-
-
 def he_normal(shape, seed: int, dtype=DEFAULT_DTYPE) -> np.ndarray:
-    std = math.sqrt(2.0 / he_fan_in(shape))
+    """He-normal weights, std sqrt(2 / fan-in). Conv kernels are stored
+    (kh, kw, c_in, filters) and dense kernels (inputs, units), so the fan-in
+    is the product of all axes but the last (output) one in both."""
+    std = math.sqrt(2.0 / int(np.prod(shape[:-1])))
     rng = np.random.Generator(np.random.PCG64(seed))
     return rng.normal(0.0, std, size=shape).astype(dtype)

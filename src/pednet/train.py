@@ -9,7 +9,7 @@ import numpy as np
 
 from . import checkpoint, optim
 from .errors import DataError, NumericError, ShapeError
-from .models import CLASS_NAMES, Model, ModelConfig
+from .models import NUM_CLASSES, Model, ModelConfig
 
 
 @dataclass
@@ -21,10 +21,13 @@ class TrainConfig:
     patience: int = 10
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise DataError("batch size must be >= 1")
-        if self.patience < 1:
-            raise DataError("patience must be >= 1")
+        for name, value, least in (
+                ("batch size", self.batch_size, 1),
+                ("patience", self.patience, 1),
+                ("phase-1 epoch cap", self.max_epochs_phase1, 1),
+                ("phase-2 epoch cap", self.max_epochs_phase2, 0)):
+            if value < least:
+                raise DataError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass
@@ -94,8 +97,9 @@ def cross_entropy_loss(probs, labels, logits):
     return float(loss), grad.astype(probs.dtype)
 
 
-def one_hot(class_indices, num_classes=len(CLASS_NAMES), dtype=np.float32):
-    out = np.zeros((len(class_indices), num_classes), dtype=dtype)
+def one_hot(class_indices):
+    """float32 rows with a 1 in each index's column of the six classes."""
+    out = np.zeros((len(class_indices), NUM_CLASSES), np.float32)
     out[np.arange(len(class_indices)), class_indices] = 1.0
     return out
 

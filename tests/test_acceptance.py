@@ -132,7 +132,7 @@ def test_a5_pr_auc_properties():
     def body():
         # a perfect separator scores AP exactly 1 for every class
         y = np.array([0, 1, 2, 3, 4, 5] * 3)
-        scores = one_hot(y, dtype=np.float64) * 0.94 + 0.01
+        scores = one_hot(y).astype(np.float64) * 0.94 + 0.01
         for c in range(6):
             curve = metrics.pr_curve(scores, y, c)
             assert curve.average_precision == 1.0

@@ -119,6 +119,19 @@ class TestTrain:
         assert sorted(opt.slots) == sorted(trainable)
         assert all(set(s) == {"velocity"} for s in opt.slots.values())
 
+    @pytest.mark.parametrize("caps", [
+        ["--epochs", "0"], ["--epochs", "-3"],
+        ["--epochs", "1", "--epochs-phase2", "-1"],
+    ], ids=["phase1_zero", "phase1_negative", "phase2_negative"])
+    def test_epoch_cap_below_minimum_exit_2(self, prepared, tmp_path, capsys,
+                                            caps):
+        work = tmp_path / "w"
+        rc = cli.main(["train", "--manifest", str(prepared / "manifest.tsv"),
+                       "--model-id", "8", "--workdir", str(work), *caps])
+        assert rc == 2
+        assert "epoch cap must be" in capsys.readouterr().err
+        assert not work.exists()
+
 
 class TestEvaluate:
     def test_report_written(self, trained, capsys):
@@ -308,6 +321,50 @@ def _missing_annotations(document):
     del document["annotations"]
 
 
+def _image_without_file_name(document):
+    del document["images"][0]["file_name"]
+
+
+def _annotation_without(key):
+    def edit(document):
+        del document["annotations"][0][key]
+    return edit
+
+
+def _bbox_not_a_number(document):
+    document["annotations"][0]["bbox"] = [0, 0, "x", 5]
+
+
+def _zero_width_box(document):
+    document["annotations"][0]["bbox"][2] = 0
+
+
+def _checkpoint_meta(edit):
+    """A copy of the trained checkpoint whose metadata `edit(meta)` changed;
+    `pednet inspect` reads it."""
+    def case(t):
+        saved = ckpt.read_checkpoint(t.trained)
+        edit(saved.meta)
+        changed = str(t.tmp / "changed.pdcn")
+        ckpt.write_checkpoint(changed, saved.meta, saved.tensors)
+        return ["inspect", changed], changed, 2
+    return case
+
+
+def _no_config(meta):
+    del meta["config"]
+
+
+def _optimizer_without(key):
+    def edit(meta):
+        del meta["optimizer"][key]
+    return edit
+
+
+def _unknown_architecture(meta):
+    meta["config"]["architecture"] = "vgg"
+
+
 def _corrupt_checkpoint(t):
     bad = t.tmp / "bad.pdcn"
     bad.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -325,12 +382,28 @@ class TestFailures:
         _corrupt_checkpoint, _annotations_not_utf8, _config_not_utf8,
         _manifest_not_utf8, _coco_document(_unknown_category),
         _coco_document(_missing_annotations),
+        _coco_document(_image_without_file_name),
+        _coco_document(_annotation_without("id")),
+        _coco_document(_annotation_without("image_id")),
+        _coco_document(_annotation_without("category_id")),
+        _coco_document(_bbox_not_a_number), _coco_document(_zero_width_box),
+        _checkpoint_meta(_no_config),
+        _checkpoint_meta(_optimizer_without("lr")),
+        _checkpoint_meta(_optimizer_without("t")),
+        _checkpoint_meta(_unknown_architecture),
     ], ids=["infer_missing_image", "train_missing_crop",
             "evaluate_missing_crop", "prepare_missing_frame",
             "inspect_directory_checkpoint", "infer_directory_checkpoint",
             "evaluate_directory_checkpoint", "corrupt_checkpoint",
             "annotations_not_utf8", "config_not_utf8", "manifest_not_utf8",
-            "coco_unknown_category", "coco_missing_annotations"])
+            "coco_unknown_category", "coco_missing_annotations",
+            "coco_image_without_file_name", "coco_annotation_without_id",
+            "coco_annotation_without_image_id",
+            "coco_annotation_without_category_id", "coco_bbox_not_a_number",
+            "coco_zero_width_box", "checkpoint_without_config",
+            "checkpoint_optimizer_without_lr",
+            "checkpoint_optimizer_without_t",
+            "checkpoint_unknown_architecture"])
     def test_names_the_file(self, case, corpus, prepared, trained, tmp_path):
         argv, named, code = case(SimpleNamespace(
             corpus=corpus, prepared=prepared, trained=trained, tmp=tmp_path))

@@ -240,7 +240,7 @@ class TestMaxPoolSlices:
 
 class TestConvWindows:
     @pytest.mark.parametrize("kernel,stride,padding", [
-        (3, 1, T.SAME_PRESERVING), (7, 2, T.SAME_CEIL), (1, 1, T.VALID_FLOOR),
+        (3, 1, T.SAME_CEIL), (7, 2, T.SAME_CEIL), (1, 1, T.VALID_FLOOR),
         (1, 2, T.VALID_FLOOR), (3, 2, T.SAME_CEIL)])
     def test_forward_matches_direct_loop(self, kernel, stride, padding):
         rng = np.random.default_rng(5)
@@ -283,7 +283,7 @@ class TestConvWindows:
 class TestGradients:
     def test_conv2d(self):
         conv = L.Conv2D(3, 3, in_channels=2, stride=1,
-                        padding=T.SAME_PRESERVING, seed=1, dtype=np.float64)
+                        padding=T.SAME_CEIL, seed=1, dtype=np.float64)
         x = np.random.default_rng(0).standard_normal((1, 4, 4, 2))
         finite_difference_check(conv, x)
 
@@ -391,10 +391,11 @@ class TestBatchNormStatistics:
         assert np.all(np.abs(out.var(axis=(0, 1, 2)) - 1.0) < 1e-2)
 
     def test_moving_average_update(self):
-        bn = L.BatchNorm(2, momentum=0.5, dtype=np.float64)
+        bn = L.BatchNorm(2, dtype=np.float64)
         x = np.full((4, 1, 1, 2), 10.0)
         bn.forward(x, train=True)
-        assert np.allclose(bn.state["moving_mean"], 5.0)
+        assert np.allclose(bn.state["moving_mean"],
+                           (1.0 - L.BN_MOMENTUM) * 10.0)
 
     def test_eval_uses_moving_stats(self):
         bn = L.BatchNorm(2, dtype=np.float64)
@@ -413,13 +414,13 @@ def reference_batchnorm(bn, x, upstream, train):
     if train:
         mean = x.mean(axis=axes)
         var = x.var(axis=axes)
-        m = np.asarray(bn.momentum, dtype=x.dtype)
+        m = np.asarray(L.BN_MOMENTUM, dtype=x.dtype)
         one = np.asarray(1.0, dtype=x.dtype)
         moving_mean = m * moving_mean + (one - m) * mean
         moving_var = m * moving_var + (one - m) * var
     else:
         mean, var = moving_mean, moving_var
-    inv_std = 1.0 / np.sqrt(var + np.asarray(bn.epsilon, dtype=x.dtype))
+    inv_std = 1.0 / np.sqrt(var + np.asarray(L.BN_EPSILON, dtype=x.dtype))
     xhat = (x - mean) * inv_std
     out = bn.params["scale"] * xhat + bn.params["shift"]
     dscale = (upstream * xhat).sum(axis=axes)
@@ -440,7 +441,7 @@ def channel_sum_shapes(model_id, batch=8):
     gradients sum into the conv bias."""
     model = models.build_model(models.registry_lookup(model_id), seed=0)
     bn, conv = set(), set()
-    x = np.zeros((1, *model.input_spec), np.float32)
+    x = np.zeros((1, *models.INPUT_SPEC), np.float32)
     outs = []
     for node in model.nodes:
         args = [x if i == -1 else outs[i] for i in node.inputs]

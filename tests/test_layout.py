@@ -1,9 +1,10 @@
 """Static checks of the repository layout; nothing here imports the package.
 
 Every public top-level function and class of `src/pednet` has a caller in
-the program (`src/`, `scripts/`, `perfbench/`), not only in the tests, no
-script reaches into the test suite, and an OSError is caught only where an
-input is read or where the command line reports it.
+the program (`src/`, `scripts/`, `perfbench/`), not only in the tests, and
+every defaulted parameter of one is passed by a program call; no script
+reaches into the test suite, and an OSError is caught only where an input is
+read or where the command line reports it.
 """
 
 import ast
@@ -133,3 +134,88 @@ def test_oserror_caught_only_where_read_or_reported():
         for func in _oserror_handlers(_parse(path))
         if (os.path.basename(path), func) not in allowed]
     assert not offenders, offenders
+
+
+# (class, parameter) pairs no program call passes, each kept for a reason
+_UNPASSED_DEFAULTS = {
+    # the float64 shadow mode of finite-difference gradient checks
+    ("Conv2D", "dtype"), ("BatchNorm", "dtype"), ("Dense", "dtype"),
+}
+
+
+def _defaulted_parameters(tree):
+    """(name, parameter, positional index or None, line) of each defaulted
+    parameter of a public top-level function, and of the explicit
+    `__init__` of a public top-level class, whose calls carry its name."""
+    out = []
+    for node in tree.body:
+        if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                or node.name.startswith("_")):
+            continue
+        func, skip = node, 0
+        if isinstance(node, ast.ClassDef):
+            func = next((f for f in node.body
+                         if isinstance(f, ast.FunctionDef)
+                         and f.name == "__init__"), None)
+            skip = 1  # self
+            if func is None:
+                continue
+        args = func.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            out.append((node.name, arg.arg, i - skip, node.lineno))
+        out.extend((node.name, arg.arg, None, node.lineno)
+                   for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                   if default is not None)
+    return out
+
+
+def _passed_arguments(tree):
+    """{(callee name, parameter name or positional index)} of every call;
+    a starred argument passes every parameter, marked by index -1."""
+    out = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name) else
+                func.attr if isinstance(func, ast.Attribute) else None)
+        if name is None:
+            continue
+        for i, arg in enumerate(node.args):
+            out.add((name, -1 if isinstance(arg, ast.Starred) else i))
+        for kw in node.keywords:
+            out.add((name, -1 if kw.arg is None else kw.arg))
+    return out
+
+
+def _unpassed(defaulted, passed):
+    """The entries of `defaulted` whose parameter no call in `passed`
+    passes, by name or by position."""
+    return [d for d in defaulted
+            if not {(d[0], d[1]), (d[0], d[2]), (d[0], -1)} & passed]
+
+
+def test_every_default_is_passed_by_a_program_call():
+    probe = ast.parse(
+        "def f(a, b=1, *, c=2): pass\n"
+        "def _g(a=1): pass\n"
+        "def h(a=1): pass\n"
+        "class K:\n    def __init__(self, a, b=1, c=2): pass\n"
+        "f(0, 1)\nK(0, c=3)\nh(*xs)\n")
+    assert [d[:2] for d in _unpassed(_defaulted_parameters(probe),
+                                     _passed_arguments(probe))] == \
+        [("f", "c"), ("K", "b")]
+    defaulted = [
+        (name, param, index, f"{os.path.relpath(path, ROOT)}:{line}")
+        for path in _python_files(os.path.join("src", "pednet"))
+        for name, param, index, line in _defaulted_parameters(_parse(path))]
+    assert ("Conv2D", "dtype") in {d[:2] for d in defaulted}
+    passed = set().union(*(_passed_arguments(_parse(path))
+                           for path in _python_files(*PROGRAM_DIRS)))
+    unpassed = [f"{where} {name}({param})"
+                for name, param, _, where in _unpassed(defaulted, passed)
+                if (name, param) not in _UNPASSED_DEFAULTS]
+    assert not unpassed, ("defaulted parameters no program call passes: "
+                          + ", ".join(unpassed))

@@ -258,7 +258,7 @@ class TestBackward:
         assert down.pop(frontier) is None
         assert all(out is not None for out in down.values())
         # nothing is scattered onto the model input
-        assert (2, *model.input_spec) not in scattered
+        assert (2, *models.INPUT_SPEC) not in scattered
         layer = next(n.layer for n in model.nodes if n.name == frontier)
         assert all(np.any(g != 0) for g in layer.grads.values())
 

@@ -32,8 +32,9 @@ def _pool_extent(extent, kernel, stride, padding):
 
 class TestOutExtent:
     def test_same_preserving(self):
-        assert T.pad_amounts(99, 99, 3, 1, T.SAME_PRESERVING) == ((1, 1), (1, 1))
-        conv = L.Conv2D(2, 3, 1, stride=1, padding=T.SAME_PRESERVING)
+        # same_ceil at stride 1 keeps the extent
+        assert T.pad_amounts(99, 99, 3, 1, T.SAME_CEIL) == ((1, 1), (1, 1))
+        conv = L.Conv2D(2, 3, 1, stride=1, padding=T.SAME_CEIL)
         assert conv.forward(np.zeros((1, 99, 99, 1), np.float32)).shape == \
             (1, 99, 99, 2)
 
@@ -54,11 +55,10 @@ class TestOutExtent:
         assert conv.forward(np.zeros((1, 99, 98, 1), np.float32)).shape == \
             (1, 50, 49, 2)
 
-    def test_same_preserving_requires_stride_1(self):
-        with pytest.raises(ShapeError, match="stride 1"):
-            T.pad_amounts(9, 9, 3, 2, T.SAME_PRESERVING)
+    @pytest.mark.parametrize("padding", ["same", "same_preserving"])
+    def test_unknown_padding_mode(self, padding):
         with pytest.raises(ShapeError, match="unknown padding mode"):
-            T.pad_amounts(9, 9, 3, 1, "same")
+            T.pad_amounts(9, 9, 3, 1, padding)
 
     def test_window_does_not_fit(self):
         with pytest.raises(ShapeError, match="does not fit"):

@@ -12,24 +12,24 @@ from conftest import synthetic_arrays
 
 class TestCrossEntropy:
     def test_perfect_prediction(self):
-        probs = one_hot([2, 4], dtype=np.float64)
+        probs = one_hot([2, 4]).astype(np.float64)
         # nudge away from exact 0/1 so log is finite, as softmax would
         probs = probs * (1 - 1e-12) + 1e-12 / 6
-        loss, _ = cross_entropy_loss(probs, one_hot([2, 4], dtype=np.float64),
+        loss, _ = cross_entropy_loss(probs, one_hot([2, 4]).astype(np.float64),
                                      logits=np.log(probs))
         assert loss < 1e-6
 
     def test_uniform_prediction(self):
         probs = np.full((3, 6), 1 / 6)
-        loss, _ = cross_entropy_loss(probs, one_hot([0, 3, 5],
-                                                    dtype=np.float64),
+        loss, _ = cross_entropy_loss(probs,
+                                     one_hot([0, 3, 5]).astype(np.float64),
                                      logits=np.log(probs))
         assert np.isclose(loss, np.log(6), atol=1e-9)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         logits = rng.standard_normal((4, 6))
-        labels = one_hot([1, 0, 5, 3], dtype=np.float64)
+        labels = one_hot([1, 0, 5, 3]).astype(np.float64)
 
         def loss_of(z):
             e = np.exp(z - z.max(axis=1, keepdims=True))
@@ -61,8 +61,21 @@ class TestCrossEntropy:
     def test_rows_must_sum_to_one(self):
         probs = np.full((1, 6), 0.3)
         with pytest.raises(ShapeError):
-            cross_entropy_loss(probs, one_hot([0], dtype=np.float64),
+            cross_entropy_loss(probs, one_hot([0]).astype(np.float64),
                                logits=np.log(probs))
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("caps", [
+        {"max_epochs_phase1": 0}, {"max_epochs_phase1": -3},
+        {"max_epochs_phase2": -1},
+    ], ids=["phase1_zero", "phase1_negative", "phase2_negative"])
+    def test_epoch_cap_below_minimum(self, caps):
+        with pytest.raises(DataError, match="epoch cap must be"):
+            TrainConfig(**caps)
+
+    def test_phase2_cap_zero_is_valid(self):
+        assert TrainConfig(max_epochs_phase2=0).max_epochs_phase2 == 0
 
 
 class TestEvaluate:
