@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 
@@ -148,30 +149,45 @@ def save_model(path, model, config, optimizer=None, history=None,
 
 def restore_model(path):
     """Rebuild (model, config, optimizer-or-None, meta) from a checkpoint;
-    metadata that does not describe a registry model is a CheckpointError
-    that names the file."""
+    metadata that does not describe a registry model, or optimizer state
+    that does not fit it, is a CheckpointError that names the file."""
     data = read_checkpoint(path)
     cfg = _field(path, data.meta, "config", "metadata")
     try:
-        config = ModelConfig(**{**cfg, "pretrained": None})
+        # older files carry a "pretrained" entry, always null
+        config = ModelConfig(**{k: v for k, v in {**cfg}.items()
+                                if k != "pretrained"})
         model = build_model(config)
     except (TypeError, ConfigError) as e:
         raise CheckpointError(f"{path}: metadata config: {e}") from None
-    assign_tensors(model, _require(path, data.tensors, model_tensors(model),
-                                   "tensor"))
+    assign_tensors(model, _require(path, data.tensors, model_tensors(model)))
     trainable = set(data.meta.get("trainable_nodes", []))
     for node in model.nodes:
         node.layer.trainable = node.name in trainable
     opt = None
     if "optimizer" in data.meta:
         block = data.meta["optimizer"]
-        opt = make_optimizer(config, lr=_field(path, block, "lr",
-                                               "optimizer metadata"))
-        opt.t = _field(path, block, "t", "optimizer metadata")
-        for key, arr in data.tensors.items():
-            if key.startswith("slot:"):
-                _, pname, sname = key.split(":", 2)
-                opt.slots.setdefault(pname, {})[sname] = arr.copy()
+        lr = _field(path, block, "lr", "optimizer metadata")
+        t = _field(path, block, "t", "optimizer metadata")
+        if type(lr) not in (int, float) or not 0 < lr < math.inf:
+            raise CheckpointError(f"{path}: optimizer lr must be a positive "
+                                  f"finite number, got {lr!r}")
+        if type(t) is not int or t < 0:
+            raise CheckpointError(f"{path}: optimizer t must be a "
+                                  f"non-negative integer, got {t!r}")
+        opt = make_optimizer(config, lr=lr)
+        opt.t = t
+        # each slot tensor is one of the optimizer's slots of a parameter
+        slots = {f"slot:{name}:{s}": layer.params[pname]
+                 for name, layer, pname in model.named_params()
+                 for s in opt.slot_names}
+        for key in [k for k in data.tensors if k.startswith("slot:")]:
+            if key not in slots:
+                raise CheckpointError(f"{path}: tensor {key} names no "
+                                      f"{opt.kind} slot of a model parameter")
+            _, pname, sname = key.split(":")
+            opt.slots.setdefault(pname, {})[sname] = _require(
+                path, data.tensors, {key: slots[key]})[key].copy()
     return model, config, opt, data.meta
 
 
@@ -183,33 +199,22 @@ def _field(path, block, key, where):
 
 
 def assign_tensors(model, tensors: dict[str, np.ndarray]):
-    """Copy the given tensors into the model's parameter and statistic
-    arrays in place, cast to their dtype."""
+    """Copy every parameter and statistic tensor of the model from
+    `tensors` into its arrays in place, cast to their dtype."""
     for key, dst in model_tensors(model).items():
-        if key in tensors:
-            dst[...] = tensors[key]
+        dst[...] = tensors[key]
     model.zero_grads()
 
 
-def load_backbone_weights(model, path):
-    """Fill every backbone parameter/statistic from a checkpoint file."""
-    data = read_checkpoint(path)
-    backbone = set(n.name for n in model.nodes[:model.backbone_len])
-    wanted = {k: v for k, v in model_tensors(model).items()
-              if k.split(":", 1)[1].split(".", 1)[0] in backbone}
-    assign_tensors(model, _require(path, data.tensors, wanted,
-                                   "backbone tensor"))
-
-
-def _require(path, tensors, wanted, what):
+def _require(path, tensors, wanted):
     """The tensors of file `path` for the keys of `wanted`, each of the shape
     of the model array `wanted` maps it to; CheckpointError names the file
     and the first key that is absent or of another shape."""
     for key, dst in wanted.items():
         if key not in tensors:
-            raise CheckpointError(f"{path}: missing {what} {key}")
+            raise CheckpointError(f"{path}: missing tensor {key}")
         if tensors[key].shape != dst.shape:
             raise CheckpointError(
-                f"{path}: {what} {key} has shape {tensors[key].shape}, "
+                f"{path}: tensor {key} has shape {tensors[key].shape}, "
                 f"the model's is {dst.shape}")
     return {k: tensors[k] for k in wanted}

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError
-from .models import CLASS_NAMES
+from .models import CLASS_NAMES, NUM_CLASSES
 
 _CLASS_BY_LOWER = {name.lower(): name for name in CLASS_NAMES}
 
@@ -162,8 +162,11 @@ def parse_coco(text: str) -> tuple[list[AnnotationRecord], int]:
     if not isinstance(document, dict):
         raise DataError("COCO document is not a JSON object")
     for key in ("images", "annotations", "categories"):
-        if key not in document:
-            raise DataError(f"COCO document missing {key!r} array")
+        if not isinstance(document.get(key), list):
+            raise DataError(f"COCO document has no {key!r} array")
+        for i, entry in enumerate(document[key]):
+            if not isinstance(entry, dict):
+                raise DataError(f"{key} entry {i} is not an object")
     cat_map = {}
     for cat in document["categories"]:
         name = str(cat.get("name", ""))
@@ -420,6 +423,8 @@ def prepare_dataset(annotation_path, frames_dir, workdir, target: int,
     """parse -> crop -> split -> balance -> manifest, all under workdir; an
     annotation that cannot be parsed or cropped is a DataError that names
     the annotation file."""
+    if target < 1:
+        raise DataError(f"balance target must be >= 1, got {target}")
     try:
         records, _ = parse_coco(read_text(annotation_path))
     except DataError as e:
@@ -450,10 +455,15 @@ def prepare_dataset(annotation_path, frames_dir, workdir, target: int,
     return manifest
 
 
+def one_hot(class_indices):
+    """float32 rows with a 1 in each index's column of the six classes."""
+    out = np.zeros((len(class_indices), NUM_CLASSES), np.float32)
+    out[np.arange(len(class_indices)), class_indices] = 1.0
+    return out
+
+
 def load_split_arrays(manifest: DatasetManifest, split: str):
     """(images scaled to [0,1], one-hot labels) for one split."""
-    from .train import one_hot
-
     samples = manifest.split_samples(split)
     if not samples:
         raise DataError(f"split {split!r} is empty")

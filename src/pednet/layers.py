@@ -112,8 +112,8 @@ class Layer:
 class Conv2D(Layer):
     kind = "conv2d"
 
-    def __init__(self, filters, kernel, in_channels, stride=1,
-                 padding=T.SAME_CEIL, seed=0, dtype=T.DEFAULT_DTYPE):
+    def __init__(self, filters, kernel, in_channels, stride=1, seed=0,
+                 dtype=T.DEFAULT_DTYPE):
         super().__init__(
             weight=T.he_normal((kernel, kernel, in_channels, filters), seed,
                                dtype),
@@ -122,13 +122,12 @@ class Conv2D(Layer):
         self.kernel = kernel
         self.in_channels = in_channels
         self.stride = stride
-        self.padding = padding
 
     def forward(self, x, train=False, rng=None):
         if x.ndim != 4 or x.shape[3] != self.in_channels:
             raise ShapeError(f"conv2d expects (N,H,W,{self.in_channels}), got {x.shape}")
         pads = T.pad_amounts(x.shape[1], x.shape[2], self.kernel,
-                             self.stride, self.padding)
+                             self.stride, T.SAME_CEIL)
         col = _windows(_pad(x, pads, 0.0), self.kernel, self.stride)
         w2 = self.params["weight"].reshape(-1, self.filters)
         # a view of x for 1x1 stride 1: relies on no layer writing its input
@@ -164,8 +163,10 @@ class BatchNorm(Layer):
     """Batch normalisation over the (N, H, W) axes of each channel.
 
     Every per-channel sum is `_channel_sum`'s two-level order. Train mode
-    caches the centred input x - mean, eval mode the input itself; x-hat is
-    never stored, since scale * inv_std folds into one coefficient.
+    caches the centred input x - mean; x-hat is never stored, since
+    scale * inv_std folds into one coefficient. Eval mode normalises with
+    the moving statistics and caches nothing: training backpropagates only
+    through train-mode forwards.
     """
 
     kind = "batchnorm"
@@ -177,43 +178,39 @@ class BatchNorm(Layer):
         self.state["moving_mean"] = np.zeros((channels,), dtype)
         self.state["moving_var"] = np.ones((channels,), dtype)
 
+    def _inv_std(self, var, dtype):
+        return 1.0 / np.sqrt(var + np.asarray(BN_EPSILON, dtype=dtype))
+
     def forward(self, x, train=False, rng=None):
         if x.ndim != 4 or x.shape[3] != self.channels:
             raise ShapeError(f"batchnorm expects (N,H,W,{self.channels}), got {x.shape}")
-        if train:
-            # in the data dtype: a numpy int64 count would promote float32
-            count = x.dtype.type(x.size // self.channels)
-            mean = _channel_sum(x) / count
-            xc = x - mean
-            var = _channel_sum(xc, xc) / count
-            m = np.asarray(BN_MOMENTUM, dtype=x.dtype)
-            one = np.asarray(1.0, dtype=x.dtype)
-            self.state["moving_mean"] = (m * self.state["moving_mean"]
-                                         + (one - m) * mean)
-            self.state["moving_var"] = (m * self.state["moving_var"]
-                                        + (one - m) * var)
-        else:
-            mean = self.state["moving_mean"]
-            var = self.state["moving_var"]
-            # x itself, centred by backward: relies on no layer writing
-            # its input
-            xc = x
-        inv_std = 1.0 / np.sqrt(var + np.asarray(BN_EPSILON, dtype=x.dtype))
-        self.cache = (xc, mean, inv_std, train)
-        coef = self.params["scale"] * inv_std
-        if train:
-            out = xc * coef
-        else:
-            out = x - mean
-            out *= coef
+        if not train:
+            self.cache = None
+            out = x - self.state["moving_mean"]
+            out *= self.params["scale"] * self._inv_std(
+                self.state["moving_var"], x.dtype)
+            out += self.params["shift"]
+            return out
+        # in the data dtype: a numpy int64 count would promote float32
+        count = x.dtype.type(x.size // self.channels)
+        mean = _channel_sum(x) / count
+        xc = x - mean
+        var = _channel_sum(xc, xc) / count
+        m = np.asarray(BN_MOMENTUM, dtype=x.dtype)
+        one = np.asarray(1.0, dtype=x.dtype)
+        self.state["moving_mean"] = (m * self.state["moving_mean"]
+                                     + (one - m) * mean)
+        self.state["moving_var"] = (m * self.state["moving_var"]
+                                    + (one - m) * var)
+        inv_std = self._inv_std(var, x.dtype)
+        self.cache = (xc, inv_std)
+        out = xc * (self.params["scale"] * inv_std)
         out += self.params["shift"]
         return out
 
     def backward(self, upstream, input_grad=True):
         self._require_cache()
-        xc, mean, inv_std, train = self.cache
-        if not train:
-            xc = xc - mean
+        xc, inv_std = self.cache
         # sum(up * xhat) with xhat = xc * inv_std
         dscale = _channel_sum(upstream, xc) * inv_std
         dshift = _channel_sum(upstream)
@@ -221,16 +218,13 @@ class BatchNorm(Layer):
         self.grads["shift"] += dshift
         if not input_grad:
             return None
-        coef = self.params["scale"] * inv_std
-        if not train:
-            return upstream * coef
         count = xc.dtype.type(xc.size // self.channels)
         # the batch-statistics derivative in one buffer:
         # dx = coef * (up - sum(up) / m - xhat * sum(up * xhat) / m)
         dx = xc * (inv_std * dscale / count)
         np.subtract(upstream, dx, out=dx)
         dx -= dshift / count
-        dx *= coef
+        dx *= self.params["scale"] * inv_std
         return dx
 
 

@@ -45,7 +45,6 @@ class ModelConfig:
     optimizer: str             # "adam" | "sgd_momentum"
     lr_initial: float
     lr_finetune: float | None  # None for custom CNN
-    pretrained: str | None = None
 
 
 _REGISTRY = {
@@ -78,10 +77,9 @@ class _Node:
 
 
 class Model:
-    def __init__(self, architecture: str, pooling: str):
+    def __init__(self, pooling: str):
         if pooling not in ("GAP", "MP"):
             raise ConfigError(f"pooling must be GAP or MP, got {pooling!r}")
-        self.architecture = architecture
         self.pooling = pooling
         self.nodes: list[_Node] = []
         self.backbone_len = 0  # leading node count forming the frozen backbone
@@ -196,11 +194,10 @@ def _head(model: Model, seed: int, channels: int, spatial: int, start: int):
 
 def build_custom_cnn(pooling: str, seed: int = 0) -> Model:
     """Four conv blocks (32/64/128/256) then the pooling-specific head."""
-    m = Model("custom", pooling)
+    m = Model(pooling)
     in_ch = 3
     for b, filters in enumerate((32, 64, 128, 256), start=1):
         m.add(f"block{b}_conv", L.Conv2D(filters, 3, in_ch, stride=1,
-                                         padding=T.SAME_CEIL,
                                          seed=_layer_seed(seed, b)))
         m.add(f"block{b}_bn", L.BatchNorm(filters))
         m.add(f"block{b}_relu", L.ReLU())
@@ -217,22 +214,18 @@ def _bottleneck(m: Model, name: str, in_idx: int, in_ch: int, width: int,
     projection shortcut, elementwise add, relu. Returns the output node."""
     out_ch = width * 4
     a = m.add(f"{name}_conv1", L.Conv2D(width, 1, in_ch, stride=stride,
-                                        padding=T.SAME_CEIL,
                                         seed=_layer_seed(seed, sidx)), [in_idx])
     a = m.add(f"{name}_bn1", L.BatchNorm(width), [a])
     a = m.add(f"{name}_relu1", L.ReLU(), [a])
     a = m.add(f"{name}_conv2", L.Conv2D(width, 3, width, stride=1,
-                                        padding=T.SAME_CEIL,
                                         seed=_layer_seed(seed, sidx + 1)), [a])
     a = m.add(f"{name}_bn2", L.BatchNorm(width), [a])
     a = m.add(f"{name}_relu2", L.ReLU(), [a])
     a = m.add(f"{name}_conv3", L.Conv2D(out_ch, 1, width, stride=1,
-                                        padding=T.SAME_CEIL,
                                         seed=_layer_seed(seed, sidx + 2)), [a])
     a = m.add(f"{name}_bn3", L.BatchNorm(out_ch), [a])
     if project:
         s = m.add(f"{name}_proj_conv", L.Conv2D(out_ch, 1, in_ch, stride=stride,
-                                                padding=T.SAME_CEIL,
                                                 seed=_layer_seed(seed, sidx + 3)),
                   [in_idx])
         s = m.add(f"{name}_proj_bn", L.BatchNorm(out_ch), [s])
@@ -242,13 +235,11 @@ def _bottleneck(m: Model, name: str, in_idx: int, in_ch: int, width: int,
     return m.add(f"{name}_relu_out", L.ReLU(), [a])
 
 
-def build_resnet50(pooling: str, weights: str | None = None,
-                   seed: int = 0) -> Model:
+def build_resnet50(pooling: str, seed: int = 0) -> Model:
     """50-layer residual backbone (stages 3/4/6/3, widths 64/128/256/512 x4)
     plus the classification head; backbone starts frozen."""
-    m = Model("resnet50", pooling)
-    m.add("stem_conv", L.Conv2D(64, 7, 3, stride=2, padding=T.SAME_CEIL,
-                                seed=_layer_seed(seed, 0)))
+    m = Model(pooling)
+    m.add("stem_conv", L.Conv2D(64, 7, 3, stride=2, seed=_layer_seed(seed, 0)))
     m.add("stem_bn", L.BatchNorm(64))
     m.add("stem_relu", L.ReLU())
     last = m.add("stem_pool", L.MaxPool2D(3, 2, T.SAME_CEIL))
@@ -267,9 +258,6 @@ def build_resnet50(pooling: str, weights: str | None = None,
         node.layer.trainable = False
     # spatial chain 99 -> 50 -> 25 -> 25 -> 13 -> 7 -> 4
     _head(m, seed, channels=2048, spatial=4, start=500)
-    if weights is not None:
-        from .checkpoint import load_backbone_weights
-        load_backbone_weights(m, weights)
     return m
 
 
@@ -277,6 +265,5 @@ def build_model(config: ModelConfig, seed: int = 0) -> Model:
     if config.architecture == "custom":
         return build_custom_cnn(config.pooling, seed=seed)
     if config.architecture == "resnet50":
-        return build_resnet50(config.pooling, weights=config.pretrained,
-                              seed=seed)
+        return build_resnet50(config.pooling, seed=seed)
     raise ConfigError(f"unknown architecture {config.architecture!r}")

@@ -36,11 +36,6 @@ class Optimizer:
         if slot is None:
             slot = {s: np.zeros_like(param) for s in self.slot_names}
             self.slots[name] = slot
-        for arr in slot.values():
-            if arr.shape != param.shape:
-                raise OptimizerError(
-                    f"slot/parameter shape mismatch for {name}: "
-                    f"{arr.shape} vs {param.shape}")
         return slot
 
     def step(self, model: Model):

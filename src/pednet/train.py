@@ -9,7 +9,7 @@ import numpy as np
 
 from . import checkpoint, optim
 from .errors import DataError, NumericError, ShapeError
-from .models import NUM_CLASSES, Model, ModelConfig
+from .models import Model, ModelConfig
 
 
 @dataclass
@@ -95,13 +95,6 @@ def cross_entropy_loss(probs, labels, logits):
     loss = -log_probs[np.arange(n), true_idx].mean()
     grad = (probs - labels) / np.asarray(n, dtype=probs.dtype)
     return float(loss), grad.astype(probs.dtype)
-
-
-def one_hot(class_indices):
-    """float32 rows with a 1 in each index's column of the six classes."""
-    out = np.zeros((len(class_indices), NUM_CLASSES), np.float32)
-    out[np.arange(len(class_indices)), class_indices] = 1.0
-    return out
 
 
 def _sub_rng(seed, *path):

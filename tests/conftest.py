@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from pednet.data import CLASS_COLORS, make_synthetic_corpus  # noqa: F401
+from pednet.data import (CLASS_COLORS, make_synthetic_corpus,  # noqa: F401
+                         one_hot)
 from pednet.models import CLASS_NAMES
-from pednet.train import one_hot
 
 
 def synthetic_arrays(per_class=20, seed=42, noise=20.0):

@@ -339,12 +339,28 @@ def _zero_width_box(document):
     document["annotations"][0]["bbox"][2] = 0
 
 
+def _coco_set(path, value):
+    """An edit that puts `value` at `path`, a key or a (key, index) pair."""
+    def edit(document):
+        if isinstance(path, str):
+            document[path] = value
+        else:
+            document[path[0]][path[1]] = value
+    return edit
+
+
 def _checkpoint_meta(edit):
     """A copy of the trained checkpoint whose metadata `edit(meta)` changed;
     `pednet inspect` reads it."""
+    return _checkpoint(lambda saved: edit(saved.meta))
+
+
+def _checkpoint(edit):
+    """A copy of the trained checkpoint that `edit(saved)` changed, given
+    its CheckpointData; `pednet inspect` reads it."""
     def case(t):
         saved = ckpt.read_checkpoint(t.trained)
-        edit(saved.meta)
+        edit(saved)
         changed = str(t.tmp / "changed.pdcn")
         ckpt.write_checkpoint(changed, saved.meta, saved.tensors)
         return ["inspect", changed], changed, 2
@@ -359,6 +375,25 @@ def _optimizer_without(key):
     def edit(meta):
         del meta["optimizer"][key]
     return edit
+
+
+def _optimizer_set(key, value):
+    def edit(meta):
+        meta["optimizer"][key] = value
+    return edit
+
+
+def _slot_renamed(name):
+    """An edit that moves block 1's conv-weight velocity to slot `name`."""
+    def edit(saved):
+        saved.tensors[name] = saved.tensors.pop(
+            "slot:block1_conv.weight:velocity")
+    return edit
+
+
+def _slot_of_another_shape(saved):
+    key = "slot:block1_conv.weight:velocity"
+    saved.tensors[key] = saved.tensors[key][:1]
 
 
 def _unknown_architecture(meta):
@@ -391,6 +426,19 @@ class TestFailures:
         _checkpoint_meta(_optimizer_without("lr")),
         _checkpoint_meta(_optimizer_without("t")),
         _checkpoint_meta(_unknown_architecture),
+        _coco_document(_coco_set("images", 5)),
+        _coco_document(_coco_set("annotations", {"a": 1})),
+        _coco_document(_coco_set("categories", None)),
+        _coco_document(_coco_set(("images", 0), 7)),
+        _coco_document(_coco_set(("annotations", 0), 5)),
+        _coco_document(_coco_set(("categories", 0), [0])),
+        _checkpoint_meta(_optimizer_set("lr", "x")),
+        _checkpoint_meta(_optimizer_set("lr", 0)),
+        _checkpoint_meta(_optimizer_set("t", "x")),
+        _checkpoint_meta(_optimizer_set("t", -1)),
+        _checkpoint(_slot_renamed("slot:nosuch.weight:velocity")),
+        _checkpoint(_slot_renamed("slot:block1_conv.weight:m")),
+        _checkpoint(_slot_of_another_shape),
     ], ids=["infer_missing_image", "train_missing_crop",
             "evaluate_missing_crop", "prepare_missing_frame",
             "inspect_directory_checkpoint", "infer_directory_checkpoint",
@@ -403,7 +451,17 @@ class TestFailures:
             "coco_zero_width_box", "checkpoint_without_config",
             "checkpoint_optimizer_without_lr",
             "checkpoint_optimizer_without_t",
-            "checkpoint_unknown_architecture"])
+            "checkpoint_unknown_architecture",
+            "coco_images_not_an_array", "coco_annotations_not_an_array",
+            "coco_categories_not_an_array", "coco_image_not_an_object",
+            "coco_annotation_not_an_object", "coco_category_not_an_object",
+            "checkpoint_optimizer_lr_not_a_number",
+            "checkpoint_optimizer_lr_zero",
+            "checkpoint_optimizer_t_not_a_number",
+            "checkpoint_optimizer_t_negative",
+            "checkpoint_slot_of_unknown_parameter",
+            "checkpoint_slot_of_unknown_name",
+            "checkpoint_slot_of_another_shape"])
     def test_names_the_file(self, case, corpus, prepared, trained, tmp_path):
         argv, named, code = case(SimpleNamespace(
             corpus=corpus, prepared=prepared, trained=trained, tmp=tmp_path))
@@ -424,6 +482,18 @@ class TestFailures:
             assert [line.split("\t")[0] for line in
                     proc.stdout.strip().split("\n")] == \
                 [path for path in argv[3:] if path != named]
+
+    @pytest.mark.parametrize("target", ["0", "-2"])
+    def test_balance_target_below_one(self, corpus, tmp_path, capsys,
+                                      target):
+        _, ann, _ = corpus
+        t = SimpleNamespace(corpus=corpus, tmp=tmp_path)
+        argv = _prepare_argv(t, ann)
+        argv[argv.index("--balance-target") + 1] = target
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == \
+            f"error: balance target must be >= 1, got {target}\n"
+        assert not (tmp_path / "w" / "crops").exists()
 
 
 class TestConfigFile:

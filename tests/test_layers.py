@@ -11,13 +11,13 @@ RTOL = 1e-4
 ATOL = 1e-6
 
 
-def finite_difference_check(layer, x, train=True, dropout_seed=None,
-                            eps=1e-5):
-    """Central finite differences (float64) against analytic backward."""
+def finite_difference_check(layer, x, dropout_seed=None, eps=1e-5):
+    """Central finite differences (float64) against analytic backward,
+    through train-mode forwards."""
     def run():
         rng = (np.random.default_rng(dropout_seed)
                if dropout_seed is not None else None)
-        return layer.forward(x, train=train, rng=rng)
+        return layer.forward(x, train=True, rng=rng)
 
     y = run()
     upstream = np.random.default_rng(7).random(y.shape)
@@ -245,8 +245,8 @@ class TestConvWindows:
     def test_forward_matches_direct_loop(self, kernel, stride, padding):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((2, 9, 8, 3))
-        conv = L.Conv2D(4, kernel, in_channels=3, stride=stride,
-                        padding=padding, seed=3, dtype=np.float64)
+        conv = L.Conv2D(4, kernel, in_channels=3, stride=stride, seed=3,
+                        dtype=np.float64)
         out = conv.forward(x)
         (pt, pb), (pl, pr) = T.pad_amounts(9, 8, kernel, stride, padding)
         xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
@@ -282,14 +282,14 @@ class TestConvWindows:
 
 class TestGradients:
     def test_conv2d(self):
-        conv = L.Conv2D(3, 3, in_channels=2, stride=1,
-                        padding=T.SAME_CEIL, seed=1, dtype=np.float64)
+        conv = L.Conv2D(3, 3, in_channels=2, stride=1, seed=1,
+                        dtype=np.float64)
         x = np.random.default_rng(0).standard_normal((1, 4, 4, 2))
         finite_difference_check(conv, x)
 
     def test_conv2d_strided_ceil(self):
-        conv = L.Conv2D(2, 3, in_channels=2, stride=2,
-                        padding=T.SAME_CEIL, seed=2, dtype=np.float64)
+        conv = L.Conv2D(2, 3, in_channels=2, stride=2, seed=2,
+                        dtype=np.float64)
         x = np.random.default_rng(1).standard_normal((2, 5, 5, 2))
         finite_difference_check(conv, x)
 
@@ -300,14 +300,6 @@ class TestGradients:
         bn.params["shift"] = rng.standard_normal(3)
         x = rng.standard_normal((2, 3, 3, 3))
         finite_difference_check(bn, x)
-
-    def test_batchnorm_eval(self):
-        bn = L.BatchNorm(3, dtype=np.float64)
-        rng = np.random.default_rng(3)
-        bn.state["moving_mean"] = rng.standard_normal(3)
-        bn.state["moving_var"] = rng.random(3) + 0.5
-        x = rng.standard_normal((2, 2, 2, 3))
-        finite_difference_check(bn, x, train=False)
 
     def test_dense(self):
         dense = L.Dense(5, 7, seed=3, dtype=np.float64)
@@ -372,15 +364,22 @@ class TestParamCounts:
 
 class TestBatchNormStatistics:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("train", [True, False])
-    def test_backward_keeps_dtype(self, dtype, train):
+    def test_backward_keeps_dtype(self, dtype):
         bn = L.BatchNorm(4, dtype=dtype)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 3, 3, 4)).astype(dtype)
-        bn.forward(x, train=train)
+        bn.forward(x, train=True)
         dx = bn.backward(rng.standard_normal(x.shape).astype(dtype))
         assert dx.dtype == dtype
         assert all(g.dtype == dtype for g in bn.grads.values())
+
+    def test_no_backward_after_eval_forward(self):
+        bn = L.BatchNorm(2)
+        x = np.random.default_rng(0).random((2, 3, 3, 2), np.float32)
+        bn.forward(x, train=True)
+        bn.forward(x, train=False)  # must not leave the train cache behind
+        with pytest.raises(StateError, match="backward called before"):
+            bn.backward(np.ones_like(x))
 
     def test_train_output_normalized(self):
         bn = L.BatchNorm(4, dtype=np.float64)
@@ -408,7 +407,8 @@ class TestBatchNormStatistics:
 
 def reference_batchnorm(bn, x, upstream, train):
     """BatchNorm by its textbook formulas, each sum over axes (0, 1, 2):
-    (output, moving_mean, moving_var, dscale, dshift, dx)."""
+    (output, moving_mean, moving_var, dscale, dshift, dx), the first three
+    only in eval mode, which has no backward."""
     axes = tuple(range(x.ndim - 1))
     moving_mean, moving_var = bn.state["moving_mean"], bn.state["moving_var"]
     if train:
@@ -423,15 +423,14 @@ def reference_batchnorm(bn, x, upstream, train):
     inv_std = 1.0 / np.sqrt(var + np.asarray(L.BN_EPSILON, dtype=x.dtype))
     xhat = (x - mean) * inv_std
     out = bn.params["scale"] * xhat + bn.params["shift"]
+    if not train:
+        return out, moving_mean, moving_var
     dscale = (upstream * xhat).sum(axis=axes)
     dshift = upstream.sum(axis=axes)
     g = upstream * bn.params["scale"]
-    if train:
-        m = xhat.dtype.type(np.prod([x.shape[a] for a in axes]))
-        dx = (inv_std / m) * (m * g - g.sum(axis=axes)
-                              - xhat * (g * xhat).sum(axis=axes))
-    else:
-        dx = g * inv_std
+    m = xhat.dtype.type(np.prod([x.shape[a] for a in axes]))
+    dx = (inv_std / m) * (m * g - g.sum(axis=axes)
+                          - xhat * (g * xhat).sum(axis=axes))
     return out, moving_mean, moving_var, dscale, dshift, dx
 
 
@@ -469,10 +468,13 @@ def random_batchnorm(shape):
 
 
 def run_batchnorm(bn, x, upstream, train):
+    """The layer's values in `reference_batchnorm`'s order."""
     out = bn.forward(x, train=train)
+    stats = (out, bn.state["moving_mean"], bn.state["moving_var"])
+    if not train:
+        return stats
     dx = bn.backward(upstream)
-    return (out, bn.state["moving_mean"], bn.state["moving_var"],
-            bn.grads["scale"], bn.grads["shift"], dx)
+    return (*stats, bn.grads["scale"], bn.grads["shift"], dx)
 
 
 class TestBatchNormNumerics:
@@ -497,6 +499,7 @@ class TestBatchNormNumerics:
                                          upstream.astype(np.float64), train)
             textbook = reference_batchnorm(bn, x, upstream, train)
             got = run_batchnorm(bn, x, upstream, train)
+            assert len(got) == len(textbook) == len(oracle)
             for name, a, b, want in zip(self.NAMES, got, textbook, oracle):
                 assert a.dtype == np.float32, (shape, name)
                 err = np.abs(a - want).max()

@@ -3,8 +3,9 @@
 Every public top-level function and class of `src/pednet` has a caller in
 the program (`src/`, `scripts/`, `perfbench/`), not only in the tests, and
 every defaulted parameter of one is passed by a program call; no script
-reaches into the test suite, and an OSError is caught only where an input is
-read or where the command line reports it.
+reaches into the test suite, an OSError is caught only where an input is
+read or where the command line reports it, and no function of the package
+imports one of its modules.
 """
 
 import ast
@@ -219,3 +220,43 @@ def test_every_default_is_passed_by_a_program_call():
                 if (name, param) not in _UNPASSED_DEFAULTS]
     assert not unpassed, ("defaulted parameters no program call passes: "
                           + ", ".join(unpassed))
+
+
+def _package_imports_in_functions(tree):
+    """Name of the innermost enclosing function of each import, inside a
+    function, of a pednet module: relative, or of `pednet` or below it."""
+    out = []
+
+    def is_package(name):
+        return (name or "").split(".")[0] == "pednet"
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if func is not None and (
+                isinstance(node, ast.ImportFrom)
+                and (node.level > 0 or is_package(node.module))
+                or isinstance(node, ast.Import)
+                and any(is_package(alias.name) for alias in node.names)):
+            out.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return out
+
+
+def test_no_package_import_inside_a_function():
+    probe = ast.parse("import os\nfrom . import data\n"
+                      "def f():\n    from .checkpoint import x\n"
+                      "def g():\n    import pednet.data\n"
+                      "    from PIL import Image\n    import pednetx\n"
+                      "    def h():\n        from pednet import train\n"
+                      "class K:\n    def m(self):\n        from . import y\n")
+    assert _package_imports_in_functions(probe) == ["f", "g", "h", "m"]
+    offenders = [
+        f"{os.path.relpath(path, ROOT)}: {func}"
+        for path in _python_files(os.path.join("src", "pednet"))
+        for func in _package_imports_in_functions(_parse(path))]
+    assert not offenders, ("pednet modules imported inside functions: "
+                           + ", ".join(offenders))

@@ -3,7 +3,8 @@ import pytest
 
 from pednet import layers, models, optim
 from pednet.errors import ConfigError
-from pednet.train import cross_entropy_loss, one_hot
+from pednet.data import one_hot
+from pednet.train import cross_entropy_loss
 
 TABLE1_COUNTS = {
     1: (24_639_878, 1_052_166),

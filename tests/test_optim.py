@@ -8,7 +8,7 @@ from pednet.errors import ConfigError, OptimizerError
 
 def scalar_model(value=1.0, dtype=np.float64):
     """A one-parameter model stand-in built from a dense layer."""
-    model = models.Model("custom", "GAP")
+    model = models.Model("GAP")
     dense = L.Dense(1, 1, seed=0, dtype=dtype)
     dense.params["weight"][:] = value
     dense.params["bias"][:] = 0.0
@@ -147,7 +147,8 @@ class TestStateRoundTrip:
         model = models.build_custom_cnn("MP", seed=3)
         opt = optim.make_optimizer(cfg)
         x = np.random.default_rng(0).random((4, 99, 99, 3), np.float32)
-        from pednet.train import cross_entropy_loss, one_hot
+        from pednet.data import one_hot
+        from pednet.train import cross_entropy_loss
         y = one_hot([0, 1, 2, 3])
         for _ in range(2):
             probs = model.forward(x, train=True,

@@ -34,7 +34,7 @@ class TestOutExtent:
     def test_same_preserving(self):
         # same_ceil at stride 1 keeps the extent
         assert T.pad_amounts(99, 99, 3, 1, T.SAME_CEIL) == ((1, 1), (1, 1))
-        conv = L.Conv2D(2, 3, 1, stride=1, padding=T.SAME_CEIL)
+        conv = L.Conv2D(2, 3, 1, stride=1)
         assert conv.forward(np.zeros((1, 99, 99, 1), np.float32)).shape == \
             (1, 99, 99, 2)
 
@@ -51,7 +51,7 @@ class TestOutExtent:
     def test_same_ceil(self):
         # the odd padding pixel goes after (bottom/right)
         assert T.pad_amounts(99, 98, 7, 2, T.SAME_CEIL) == ((3, 3), (2, 3))
-        conv = L.Conv2D(2, 7, 1, stride=2, padding=T.SAME_CEIL)
+        conv = L.Conv2D(2, 7, 1, stride=2)
         assert conv.forward(np.zeros((1, 99, 98, 1), np.float32)).shape == \
             (1, 50, 49, 2)
 

@@ -4,8 +4,9 @@ import pytest
 from pednet import checkpoint as ckpt
 from pednet import models
 from pednet import train as engine
+from pednet.data import one_hot
 from pednet.errors import CheckpointError, DataError, ShapeError
-from pednet.train import TrainConfig, cross_entropy_loss, one_hot
+from pednet.train import TrainConfig, cross_entropy_loss
 
 from conftest import synthetic_arrays
 
@@ -220,27 +221,17 @@ class TestCheckpoint:
         _, total, trainable = restored.summary()
         assert (total, trainable) == (524_998, 524_038)
 
-    def test_backbone_weights_fill_backbone_only(self, tmp_path):
-        cfg = models.registry_lookup(1)
-        donor = models.build_model(cfg, seed=1)
-        path = tmp_path / "donor.pdcn"
-        ckpt.save_model(path, donor, cfg)
-        model = models.build_resnet50("GAP", weights=str(path), seed=2)
-        fresh = models.build_resnet50("GAP", seed=2)
-        backbone = {n.name for n in model.nodes[:model.backbone_len]}
-        got = ckpt.model_tensors(model)
-        init = ckpt.model_tensors(fresh)
-        for key, src in ckpt.model_tensors(donor).items():
-            node = key.split(":", 1)[1].split(".", 1)[0]
-            want = src if node in backbone else init[key]
-            assert np.array_equal(got[key], want), key
-
-    def test_backbone_weights_missing_tensor(self, tmp_path):
-        cfg = models.registry_lookup(8)
-        path = tmp_path / "custom.pdcn"
-        ckpt.save_model(path, models.build_model(cfg, seed=0), cfg)
-        with pytest.raises(CheckpointError, match="missing backbone tensor"):
-            models.build_resnet50("GAP", weights=str(path), seed=0)
+    def test_restores_config_with_pretrained_null(self, tmp_path):
+        # files written while the config had a `pretrained` field
+        model, cfg, path = self._trained(tmp_path)
+        saved = ckpt.read_checkpoint(path)
+        saved.meta["config"]["pretrained"] = None
+        old = tmp_path / "old.pdcn"
+        ckpt.write_checkpoint(old, saved.meta, saved.tensors)
+        restored, cfg2, _, _ = ckpt.restore_model(old)
+        assert cfg2 == cfg
+        for key, arr in ckpt.model_tensors(restored).items():
+            assert arr.tobytes() == saved.tensors[key].tobytes(), key
 
     def test_restore_missing_tensor(self, tmp_path):
         model, cfg, path = self._trained(tmp_path)
