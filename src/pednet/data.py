@@ -71,8 +71,8 @@ class DatasetManifest:
 
 def write_ppm(path, image: np.ndarray):
     """Write an (H,W,3) array of values in [0,255] as binary P6."""
-    arr = np.clip(np.rint(np.asarray(image, dtype=np.float64)), 0, 255)
-    arr = arr.astype(np.uint8)
+    # rint and clip are exact in the image's own dtype: no float64 copy
+    arr = np.clip(np.rint(image), 0, 255).astype(np.uint8)
     h, w = arr.shape[:2]
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
@@ -143,9 +143,13 @@ def read_text(path) -> str:
 # -- COCO parsing ---------------------------------------------------------
 
 def _entry_field(entry, key, what):
-    """entry[key]; a DataError names `what` when the entry lacks the key."""
+    """entry[key], one JSON value; a DataError names `what` when the entry
+    lacks the key or holds an array or object there."""
     if key not in entry:
         raise DataError(f"{what} has no {key!r}")
+    if isinstance(entry[key], (list, dict)):
+        raise DataError(f"{what}: {key!r} must be a number or string, "
+                        f"got {entry[key]!r}")
     return entry[key]
 
 
@@ -180,7 +184,7 @@ def parse_coco(text: str) -> tuple[list[AnnotationRecord], int]:
     skipped = 0
     for ann in document["annotations"]:
         bbox = ann.get("bbox")
-        if not bbox or len(bbox) != 4:
+        if not bbox or isinstance(bbox, list) and len(bbox) != 4:
             skipped += 1
             continue
         ann_id = _entry_field(ann, "id", "an annotation")
@@ -193,7 +197,8 @@ def parse_coco(text: str) -> tuple[list[AnnotationRecord], int]:
             raise DataError(f"annotation {ann_id} references "
                             f"unknown image id {image_id}")
         try:
-            box = tuple(float(v) for v in bbox)
+            box = (tuple(float(v) for v in bbox) if isinstance(bbox, list)
+                   else None)
             ids = int(ann_id), int(image_id)
         except (TypeError, ValueError):
             box = None
@@ -202,6 +207,9 @@ def parse_coco(text: str) -> tuple[list[AnnotationRecord], int]:
                             f"must be finite numbers, got bbox {bbox!r}")
         file_name = _entry_field(images[image_id], "file_name",
                                  f"image {image_id}")
+        if not isinstance(file_name, str):
+            raise DataError(f"image {image_id}: 'file_name' must be a "
+                            f"string, got {file_name!r}")
         records.append(AnnotationRecord(*ids, file_name, box,
                                         cat_map[category_id]))
     records.sort(key=lambda r: r.ann_id)
@@ -212,18 +220,27 @@ def parse_coco(text: str) -> tuple[list[AnnotationRecord], int]:
 
 def _bilinear(image: np.ndarray, sy, sx) -> np.ndarray:
     """Bilinear samples of an (H,W,C) image at the row/column coordinates
-    sy, sx, which broadcast together and lie in [0, H-1] x [0, W-1]."""
-    h, w = image.shape[:2]
-    y0 = np.floor(sy).astype(int)
-    x0 = np.floor(sx).astype(int)
-    y1 = np.minimum(y0 + 1, h - 1)
+    sy, sx, which broadcast together and lie in [0, H-1] x [0, W-1]. Each
+    corner is one flat gather from a (C, H*W) view in the image's dtype,
+    upcast exactly inside its multiply by a float64 weight plane."""
+    h, w, c = image.shape
+    y0 = np.floor(sy).astype(np.intp)
+    x0 = np.floor(sx).astype(np.intp)
+    row0 = y0 * w
+    row1 = np.minimum(y0 + 1, h - 1) * w
     x1 = np.minimum(x0 + 1, w - 1)
-    wy = (sy - y0)[..., None]
-    wx = (sx - x0)[..., None]
-    src = image.astype(np.float64)
-    top = src[y0, x0] * (1 - wx) + src[y0, x1] * wx
-    bot = src[y1, x0] * (1 - wx) + src[y1, x1] * wx
-    return (top * (1 - wy) + bot * wy).astype(image.dtype)
+    wy = sy - y0
+    wx = sx - x0
+    ux = 1 - wx
+    planes = image.transpose(2, 0, 1).reshape(c, h * w)
+    top = np.take(planes, row0 + x0, axis=1) * ux
+    top += np.take(planes, row0 + x1, axis=1) * wx
+    bot = np.take(planes, row1 + x0, axis=1) * ux
+    bot += np.take(planes, row1 + x1, axis=1) * wx
+    top *= 1 - wy
+    bot *= wy
+    top += bot
+    return top.transpose(1, 2, 0).astype(image.dtype, order="C")
 
 
 def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -430,6 +447,8 @@ def prepare_dataset(annotation_path, frames_dir, workdir, target: int,
     except DataError as e:
         raise DataError(f"{annotation_path}: {e}") from None
     crop_dir = os.path.join(workdir, "crops")
+    for name in sorted({r.class_name for r in records}):
+        os.makedirs(os.path.join(crop_dir, class_slug(name)), exist_ok=True)
     samples = []
     # frame by frame, so that one decoded frame is held at a time
     by_frame = sorted(records, key=lambda r: (r.file_name, r.ann_id))
@@ -441,9 +460,8 @@ def prepare_dataset(annotation_path, frames_dir, workdir, target: int,
                 crop = crop_and_resize(frame, rec)
             except DataError as e:
                 raise DataError(f"{annotation_path}: {e}") from None
-            out_dir = os.path.join(crop_dir, class_slug(rec.class_name))
-            os.makedirs(out_dir, exist_ok=True)
-            path = os.path.join(out_dir, f"crop_{rec.ann_id:08d}.ppm")
+            path = os.path.join(crop_dir, class_slug(rec.class_name),
+                                f"crop_{rec.ann_id:08d}.ppm")
             write_ppm(path, crop)
             samples.append(SampleRecord(path, rec.class_name, "train",
                                         "original", rec.ann_id))

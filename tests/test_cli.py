@@ -340,12 +340,13 @@ def _zero_width_box(document):
 
 
 def _coco_set(path, value):
-    """An edit that puts `value` at `path`, a key or a (key, index) pair."""
+    """An edit that puts `value` at `path`, a key or a tuple of keys and
+    indices."""
+    *outer, last = (path,) if isinstance(path, str) else path
     def edit(document):
-        if isinstance(path, str):
-            document[path] = value
-        else:
-            document[path[0]][path[1]] = value
+        for key in outer:
+            document = document[key]
+        document[last] = value
     return edit
 
 
@@ -432,6 +433,10 @@ class TestFailures:
         _coco_document(_coco_set(("images", 0), 7)),
         _coco_document(_coco_set(("annotations", 0), 5)),
         _coco_document(_coco_set(("categories", 0), [0])),
+        _coco_document(_coco_set(("annotations", 0, "bbox"), 5)),
+        _coco_document(_coco_set(("annotations", 0, "image_id"), [1])),
+        _coco_document(_coco_set(("categories", 0, "id"), [0])),
+        _coco_document(_coco_set(("images", 0, "file_name"), 7)),
         _checkpoint_meta(_optimizer_set("lr", "x")),
         _checkpoint_meta(_optimizer_set("lr", 0)),
         _checkpoint_meta(_optimizer_set("t", "x")),
@@ -455,6 +460,8 @@ class TestFailures:
             "coco_images_not_an_array", "coco_annotations_not_an_array",
             "coco_categories_not_an_array", "coco_image_not_an_object",
             "coco_annotation_not_an_object", "coco_category_not_an_object",
+            "coco_bbox_a_number", "coco_image_id_a_list",
+            "coco_category_id_a_list", "coco_file_name_a_number",
             "checkpoint_optimizer_lr_not_a_number",
             "checkpoint_optimizer_lr_zero",
             "checkpoint_optimizer_t_not_a_number",

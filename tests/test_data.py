@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -169,6 +170,90 @@ class TestAugment:
             assert abs(p.zoom - 1.0) <= ranges.zoom_frac
 
 
+def reference_bilinear(image, sy, sx):
+    """Bilinear sampling by 2-D fancy indexing of a float64 copy: the formula
+    that `data._bilinear` must equal byte for byte."""
+    h, w = image.shape[:2]
+    y0 = np.floor(sy).astype(int)
+    x0 = np.floor(sx).astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (sy - y0)[..., None]
+    wx = (sx - x0)[..., None]
+    src = image.astype(np.float64)
+    top = src[y0, x0] * (1 - wx) + src[y0, x1] * wx
+    bot = src[y1, x0] * (1 - wx) + src[y1, x1] * wx
+    return (top * (1 - wy) + bot * wy).astype(image.dtype)
+
+
+def _by_reference(fn, *args):
+    """fn(*args) with `data._bilinear` replaced by the reference."""
+    with mock.patch.object(data, "_bilinear", reference_bilinear):
+        return fn(*args)
+
+
+class TestBilinearMatchesReference:
+    """Crops and augments are byte-identical to the reference formula."""
+
+    FRAME = (np.random.default_rng(11).random((120, 160, 3)) * 255
+             ).astype(np.float32)
+    CROP = FRAME[:99, :99].copy()
+
+    def _assert_same_crop(self, bbox):
+        rec = data.AnnotationRecord(1, 1, "f.ppm", bbox, "Male Adult")
+        try:
+            got = data.crop_and_resize(self.FRAME, rec)
+        except DataError:
+            return
+        want = _by_reference(data.crop_and_resize, self.FRAME, rec)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def _assert_same_augment(self, params):
+        got = data.augment(self.CROP, params)
+        want = _by_reference(data.augment, self.CROP, params)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bbox", [
+        (5.5, 10.2, 150.0, 20.0), (30.0, 2.0, 8.3, 110.0),
+        (40.0, 40.0, 1.0, 60.0), (10.0, 50.0, 70.0, 1.0),
+        (-30.0, -20.0, 300.0, 400.0), (7.0, 3.0, 99.0, 99.0),
+    ], ids=["wide", "tall", "one_pixel_wide", "one_pixel_high", "clamped",
+            "identity_size"])
+    def test_resize(self, bbox):
+        self._assert_same_crop(bbox)
+
+    def test_identity_grid(self):
+        ys = np.arange(120.0)[:, None]
+        xs = np.arange(160.0)[None, :]
+        got = data._bilinear(self.FRAME, ys, xs)
+        assert got.tobytes() == reference_bilinear(self.FRAME, ys, xs).tobytes()
+        assert got.tobytes() == self.FRAME.tobytes()
+
+    @pytest.mark.parametrize("params", [
+        data.AugmentParams(True, 0.0, 0.0, 0.0, 0.0, 1.0),
+        data.AugmentParams(False, 12.5, 0.0, 0.0, 0.0, 1.0),
+        data.AugmentParams(False, 0.0, 0.0, 0.0, -9.0, 1.0),
+        data.AugmentParams(False, 0.0, 0.0, 0.0, 0.0, 1.09),
+        data.AugmentParams(True, -14.0, 0.08, -0.1, 7.0, 0.92),
+    ], ids=["flip", "rotation", "shear", "zoom", "composed"])
+    def test_augment(self, params):
+        self._assert_same_augment(params)
+
+    @settings(max_examples=40, deadline=None)
+    @given(x=st.floats(-100, 200), y=st.floats(-100, 150),
+           w=st.floats(0.5, 250), h=st.floats(0.5, 250))
+    def test_drawn_boxes(self, x, y, w, h):
+        self._assert_same_crop((x, y, w, h))
+
+    @settings(max_examples=40, deadline=None)
+    @given(params=st.builds(
+        data.AugmentParams, st.booleans(), st.floats(-15, 15),
+        st.floats(-0.1, 0.1), st.floats(-0.1, 0.1), st.floats(-10, 10),
+        st.floats(0.9, 1.1)))
+    def test_drawn_params(self, params):
+        self._assert_same_augment(params)
+
+
 def make_records(counts):
     recs = []
     sid = 0
@@ -317,6 +402,23 @@ class TestPPM:
         path = tmp_path / "x.ppm"
         data.write_ppm(path, img)
         assert np.array_equal(data.read_ppm(path), img)
+
+    @pytest.mark.parametrize("image", [
+        np.array([0.5, 1.5, 2.5, 253.5, 254.5, 255.5, -0.5, -0.49, -3.0,
+                  255.49, 256.0, 300.7, 1e9, 127.4999], np.float32),
+        np.array([0.5, 1.5, -0.5, 254.5, 255.5, 300.0, 2.499999999],
+                 np.float64),
+        np.arange(256, dtype=np.uint8),
+        np.array([-7, 0, 1, 128, 255, 256, 2**40], np.int64),
+    ], ids=["float32", "float64", "uint8", "int64"])
+    def test_rounds_as_float64(self, tmp_path, image):
+        """Each dtype is written as if rounded and clipped in float64."""
+        image = np.resize(image, (2, image.size, 3))
+        path = tmp_path / "r.ppm"
+        data.write_ppm(path, image)
+        want = np.clip(np.rint(image.astype(np.float64)), 0, 255)
+        assert path.read_bytes() == (f"P6\n{image.shape[1]} 2\n255\n".encode()
+                                     + want.astype(np.uint8).tobytes())
 
     def test_header_with_comment(self, tmp_path):
         path = tmp_path / "c.ppm"
