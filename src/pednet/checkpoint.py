@@ -31,16 +31,19 @@ class CheckpointData:
     tensors: dict[str, np.ndarray]
 
 
-def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
+def _write_tensor(f, name: str, arr: np.ndarray):
+    """One tensor table entry: the header, then the little-endian values
+    straight from the array's buffer."""
     arr = np.ascontiguousarray(arr)
-    key = arr.dtype.newbyteorder("<").str.lstrip("|")
+    le = arr.dtype.newbyteorder("<")
+    key = le.str.lstrip("|")
     if key not in _DTYPE_TAGS:
         raise CheckpointError(f"unsupported dtype {arr.dtype} for tensor {name}")
     nb = name.encode("utf-8")
-    head = struct.pack("<H", len(nb)) + nb
-    head += struct.pack("<BB", _DTYPE_TAGS[key], arr.ndim)
-    head += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return head + arr.astype(arr.dtype.newbyteorder("<")).tobytes()
+    f.write(struct.pack("<H", len(nb)) + nb
+            + struct.pack("<BB", _DTYPE_TAGS[key], arr.ndim)
+            + struct.pack(f"<{arr.ndim}I", *arr.shape))
+    f.write(np.ascontiguousarray(arr, le).data)
 
 
 class _Reader:
@@ -73,7 +76,7 @@ def write_checkpoint(path, meta: dict, tensors: dict[str, np.ndarray]):
         f.write(meta_bytes)
         f.write(struct.pack("<I", len(tensors)))
         for name in tensors:  # insertion order is the canonical order
-            f.write(_pack_tensor(name, tensors[name]))
+            _write_tensor(f, name, tensors[name])
 
 
 def read_checkpoint(path) -> CheckpointData:
@@ -157,7 +160,8 @@ def restore_model(path):
         # older files carry a "pretrained" entry, always null
         config = ModelConfig(**{k: v for k, v in {**cfg}.items()
                                 if k != "pretrained"})
-        model = build_model(config)
+        # every tensor is assigned below, once _require has checked it
+        model = build_model(config, seed=None)
     except (TypeError, ConfigError) as e:
         raise CheckpointError(f"{path}: metadata config: {e}") from None
     assign_tensors(model, _require(path, data.tensors, model_tensors(model)))

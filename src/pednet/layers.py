@@ -1,7 +1,9 @@
 """Layer vocabulary: conv, batchnorm, relu, pooling, dense, dropout, softmax.
 
 Every layer carries its parameters, gradient buffers, a trainable flag, and a
-forward cache used by backward. Feature maps are (N, H, W, C) float arrays.
+forward cache used by backward. Only a train-mode forward fills the arrays a
+backward reads; an eval forward keeps none of them. Feature maps are
+(N, H, W, C) float arrays.
 """
 
 from __future__ import annotations
@@ -62,15 +64,17 @@ def _channel_sum(a, b=None):
     return first.reshape(w, c).sum(0)
 
 
-def _first_max(arrays):
-    """Elementwise max of equal-shaped arrays and the uint8 position of the
-    first maximum: a later array takes the position only where it is
-    strictly greater."""
+def _first_max(arrays, index=True):
+    """Elementwise max of equal-shaped arrays and, if `index`, the uint8
+    position of the first maximum (else None): a later array takes the
+    position only where it is strictly greater. The max is the same
+    np.maximum fold either way."""
     best = arrays[0]
-    arg = np.zeros(best.shape, np.uint8)
+    arg = np.zeros(best.shape, np.uint8) if index else None
     for i, a in enumerate(arrays[1:], 1):
-        later = a > best
-        arg += later * (np.uint8(i) - arg)  # wraps mod 256: i where later
+        if index:
+            later = a > best
+            arg += later * (np.uint8(i) - arg)  # wraps mod 256: i where later
         best = np.maximum(best, a)
     return best, arg
 
@@ -82,7 +86,8 @@ class Layer:
 
     def __init__(self, **params):
         self.params: dict[str, np.ndarray] = params
-        self.grads = {k: np.zeros_like(p) for k, p in params.items()}
+        # np.zeros leaves pages unmapped until written (frozen layers' never)
+        self.grads = {k: np.zeros(p.shape, p.dtype) for k, p in params.items()}
         self.state: dict[str, np.ndarray] = {}
         self.trainable = True
         self.cache = None
@@ -132,7 +137,7 @@ class Conv2D(Layer):
         w2 = self.params["weight"].reshape(-1, self.filters)
         # a view of x for 1x1 stride 1: relies on no layer writing its input
         col2 = col.reshape(-1, w2.shape[0])
-        self.cache = (col2, x.shape, pads)
+        self.cache = (col2, x.shape, pads) if train else None
         y = col2 @ w2 + self.params["bias"]
         return y.reshape(*col.shape[:3], self.filters)
 
@@ -232,7 +237,7 @@ class ReLU(Layer):
     kind = "relu"
 
     def forward(self, x, train=False, rng=None):
-        self.cache = x > 0  # subgradient at 0 is 0
+        self.cache = x > 0 if train else None  # subgradient at 0 is 0
         return np.maximum(x, 0)
 
     def backward(self, upstream):
@@ -247,6 +252,7 @@ class MaxPool2D(Layer):
     Cell (i, j) of every window is one strided slice of the padded input, so
     the pool compares kernel*kernel slices elementwise. Overlapping windows
     (the ResNet stem's 3x3/2) only make backward add where cells coincide.
+    An eval forward folds the same maxima without the first-max index.
     """
 
     kind = "maxpool2d"
@@ -264,8 +270,8 @@ class MaxPool2D(Layer):
         pads = T.pad_amounts(x.shape[1], x.shape[2], k, s, self.padding)
         win = _windows(_pad(x, pads, -np.inf), k, s)
         y, arg = _first_max([win[:, :, :, i, j]
-                             for i in range(k) for j in range(k)])
-        self.cache = (arg, x.shape, pads)
+                             for i in range(k) for j in range(k)], train)
+        self.cache = (arg, x.shape, pads) if train else None
         return y
 
     def backward(self, upstream):
@@ -320,7 +326,7 @@ class Dense(Layer):
     def forward(self, x, train=False, rng=None):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(f"dense expects (N,{self.in_features}), got {x.shape}")
-        self.cache = x
+        self.cache = x if train else None
         return x @ self.params["weight"] + self.params["bias"]
 
     def backward(self, upstream, input_grad=True):

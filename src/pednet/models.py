@@ -7,13 +7,14 @@ trivial case; the residual adds of ResNet50 use two-input nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import layers as L
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 
 # Fixed alphabetical class order; shared by manifests, outputs, and reports.
 CLASS_NAMES = (
@@ -65,7 +66,9 @@ def registry_lookup(model_id: int) -> ModelConfig:
     return _REGISTRY[model_id]
 
 
-def _layer_seed(root_seed: int, index: int) -> int:
+def _layer_seed(root_seed: int | None, index: int) -> int | None:
+    if root_seed is None:  # no weights drawn
+        return None
     return int(np.random.SeedSequence([root_seed, index]).generate_state(1)[0])
 
 
@@ -74,6 +77,7 @@ class _Node:
     name: str
     layer: L.Layer
     inputs: list[int]
+    last_reader: int | None = None  # the last node that reads the output
 
 
 class Model:
@@ -89,20 +93,42 @@ class Model:
     def add(self, name: str, layer: L.Layer, inputs=None) -> int:
         if inputs is None:
             inputs = [len(self.nodes) - 1]
+        idx = len(self.nodes)
+        for i in inputs:
+            if i >= 0:
+                self.nodes[i].last_reader = idx
         self.nodes.append(_Node(name, layer, list(inputs)))
-        return len(self.nodes) - 1
+        return idx
 
     # -- execution --------------------------------------------------------
 
     def forward(self, x, train=False, rng=None):
+        """The softmax output for the batch x. Each node's output is dropped
+        once its last reader has run. Finiteness is checked on the logits;
+        when that fails, the batch runs again with the same dropout draws
+        and a check after every node, so the error names the node."""
         if x.shape[1:] != INPUT_SPEC:
             raise ShapeError(f"expected input (N,{INPUT_SPEC}), got {x.shape}")
-        outs = []
-        for node in self.nodes:
-            args = [x if i == -1 else outs[i] for i in node.inputs]
-            y = node.layer.forward(*args, train=train, rng=rng)
-            T.check_finite(y, node.name)
-            outs.append(y)
+        replay = copy.deepcopy(rng)
+        y = self._run(x, train, rng)
+        try:
+            T.check_finite(self.nodes[-1].layer.logits, "logits")
+        except NumericError:
+            self._run(x, train, replay, check_nodes=True)
+            raise
+        return y
+
+    def _run(self, x, train, rng, check_nodes=False):
+        outs = [None] * len(self.nodes)
+        for j, node in enumerate(self.nodes):
+            outs[j] = node.layer.forward(
+                *[x if i == -1 else outs[i] for i in node.inputs],
+                train=train, rng=rng)
+            if check_nodes:
+                T.check_finite(outs[j], node.name)
+            for i in node.inputs:
+                if i >= 0 and self.nodes[i].last_reader == j:
+                    outs[i] = None
         return outs[-1]
 
     def backward(self, upstream):
@@ -117,7 +143,8 @@ class Model:
         `build_resnet50` and `optim.apply_phase`), so no frozen layer's
         `grads` are written. That node, the frontier, is told not to compute
         its input gradient, which nothing reads: training never computes the
-        gradient of the model input.
+        gradient of the model input. Each node's upstream gradient is
+        dropped once its layer has consumed it.
         """
         last = self.nodes[-1]
         if last.layer.kind != "softmax":
@@ -128,7 +155,7 @@ class Model:
                        if node.layer.trainable and node.layer.params),
                       len(self.nodes))
         for idx in range(len(self.nodes) - 1, lowest - 1, -1):
-            g = grads[idx]
+            g, grads[idx] = grads[idx], None
             if g is None:
                 continue
             node = self.nodes[idx]
@@ -192,7 +219,7 @@ def _head(model: Model, seed: int, channels: int, spatial: int, start: int):
     model.add("head_softmax", L.Softmax())
 
 
-def build_custom_cnn(pooling: str, seed: int = 0) -> Model:
+def build_custom_cnn(pooling: str, seed: int | None = 0) -> Model:
     """Four conv blocks (32/64/128/256) then the pooling-specific head."""
     m = Model(pooling)
     in_ch = 3
@@ -235,7 +262,7 @@ def _bottleneck(m: Model, name: str, in_idx: int, in_ch: int, width: int,
     return m.add(f"{name}_relu_out", L.ReLU(), [a])
 
 
-def build_resnet50(pooling: str, seed: int = 0) -> Model:
+def build_resnet50(pooling: str, seed: int | None = 0) -> Model:
     """50-layer residual backbone (stages 3/4/6/3, widths 64/128/256/512 x4)
     plus the classification head; backbone starts frozen."""
     m = Model(pooling)
@@ -261,7 +288,10 @@ def build_resnet50(pooling: str, seed: int = 0) -> Model:
     return m
 
 
-def build_model(config: ModelConfig, seed: int = 0) -> Model:
+def build_model(config: ModelConfig, seed: int | None = 0) -> Model:
+    """The registry model of `config`, He-normal weights drawn from `seed`.
+    A seed of None draws no weights and leaves them uninitialised, for a
+    checkpoint restore that assigns every tensor."""
     if config.architecture == "custom":
         return build_custom_cnn(config.pooling, seed=seed)
     if config.architecture == "resnet50":

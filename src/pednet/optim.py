@@ -34,7 +34,8 @@ class Optimizer:
     def _slot(self, name: str, param: np.ndarray) -> dict[str, np.ndarray]:
         slot = self.slots.get(name)
         if slot is None:
-            slot = {s: np.zeros_like(param) for s in self.slot_names}
+            slot = {s: np.zeros(param.shape, param.dtype)
+                    for s in self.slot_names}
             self.slots[name] = slot
         return slot
 

@@ -20,6 +20,8 @@ DEFAULT_DTYPE = np.float32
 SAME_CEIL = "same_ceil"      # output extent == ceil(input / stride)
 VALID_FLOOR = "valid_floor"  # no padding, floor arithmetic
 
+_CHUNK = 65536  # values per he_normal draw
+
 
 def pad_amounts(h: int, w: int, kernel: int, stride: int,
                 padding: str) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -51,10 +53,21 @@ def check_finite(x: np.ndarray, context: str = "tensor") -> np.ndarray:
     return x
 
 
-def he_normal(shape, seed: int, dtype=DEFAULT_DTYPE) -> np.ndarray:
+def he_normal(shape, seed: int | None, dtype=DEFAULT_DTYPE) -> np.ndarray:
     """He-normal weights, std sqrt(2 / fan-in). Conv kernels are stored
     (kh, kw, c_in, filters) and dense kernels (inputs, units), so the fan-in
-    is the product of all axes but the last (output) one in both."""
+    is the product of all axes but the last (output) one in both. Draws are
+    cast in `_CHUNK`-value pieces: the stream of one `rng.normal` call
+    without its full float64 copy. Seed None draws nothing and leaves the
+    array uninitialised, for a restore that assigns every tensor.
+    """
+    out = np.empty(shape, dtype)
+    if seed is None:
+        return out
     std = math.sqrt(2.0 / int(np.prod(shape[:-1])))
     rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.normal(0.0, std, size=shape).astype(dtype)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _CHUNK):
+        flat[start:start + _CHUNK] = rng.normal(
+            0.0, std, size=min(_CHUNK, flat.size - start))
+    return out

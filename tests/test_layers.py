@@ -91,17 +91,31 @@ class TestForwardSemantics:
         with pytest.raises(StateError):
             L.ReLU().backward(np.ones(3))
 
+    @pytest.mark.parametrize("kind", ["conv2d", "relu", "maxpool2d", "dense"])
+    def test_no_backward_after_eval_forward(self, kind):
+        layer, x = {
+            "conv2d": (L.Conv2D(4, 3, 2, seed=0), np.ones((1, 5, 5, 2))),
+            "relu": (L.ReLU(), np.ones((1, 4, 4, 2))),
+            "maxpool2d": (L.MaxPool2D(2, 2), np.ones((1, 4, 4, 2))),
+            "dense": (L.Dense(3, 2, seed=0), np.ones((2, 2))),
+        }[kind]
+        y = layer.forward(x, train=True)
+        layer.forward(x, train=False)  # drops the train-mode cache
+        assert layer.cache is None
+        with pytest.raises(StateError):
+            layer.backward(np.ones_like(y))
+
 
 class TestBackwardSemantics:
     def test_relu_subgradient_zero_at_nonpositive(self):
         relu = L.ReLU()
-        relu.forward(np.array([-2.0, 0.0, 3.0]))
+        relu.forward(np.array([-2.0, 0.0, 3.0]), train=True)
         assert relu.backward(np.ones(3)).tolist() == [0.0, 0.0, 1.0]
 
     def test_dense_zero_upstream(self):
         dense = L.Dense(3, 4, seed=1, dtype=np.float64)
         x = np.random.default_rng(0).random((2, 4))
-        dense.forward(x)
+        dense.forward(x, train=True)
         dense.zero_grads()
         dx = dense.backward(np.zeros((2, 3)))
         assert np.all(dx == 0)
@@ -111,7 +125,7 @@ class TestBackwardSemantics:
     def test_maxpool_routes_to_argmax(self):
         pool = L.MaxPool2D(2, 2)
         x = np.arange(16.0).reshape(1, 4, 4, 1)
-        pool.forward(x)
+        pool.forward(x, train=True)
         dx = pool.backward(np.ones((1, 2, 2, 1)))
         got = dx.reshape(4, 4)
         assert got.sum() == 4.0
@@ -153,7 +167,7 @@ class TestMaxPoolWindows:
         else:  # every cell ties; a zero-padded cell would win instead
             x = np.full(shape, -5.0)
         pool = L.MaxPool2D(kernel, stride, padding)
-        out = pool.forward(x)
+        out = pool.forward(x, train=True)
         upstream = rng.random(out.shape)
         want_out, want_dx = first_max_pool(x, kernel, stride, padding,
                                            upstream)
@@ -213,19 +227,28 @@ def _tied_input(fill, extent, dtype, rng):
     return x
 
 
+def slice_cases(test):
+    """The pool geometries, extents, tie patterns and dtypes of
+    TestMaxPoolSlices."""
+    for mark in (
+            pytest.mark.parametrize("dtype", [np.float32, np.float64]),
+            pytest.mark.parametrize("fill", ["row_ties", "column_ties",
+                                             "all_equal", "random"]),
+            pytest.mark.parametrize("extent", [99, 49, 25, 13]),
+            pytest.mark.parametrize("kernel,stride,padding", [
+                (2, 2, T.VALID_FLOOR), (3, 2, T.SAME_CEIL)])):
+        test = mark(test)
+    return test
+
+
 class TestMaxPoolSlices:
-    @pytest.mark.parametrize("kernel,stride,padding", [
-        (2, 2, T.VALID_FLOOR), (3, 2, T.SAME_CEIL)])
-    @pytest.mark.parametrize("extent", [99, 49, 25, 13])
-    @pytest.mark.parametrize("fill", ["row_ties", "column_ties", "all_equal",
-                                      "random"])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @slice_cases
     def test_matches_window_view(self, kernel, stride, padding, extent, fill,
                                  dtype):
         rng = np.random.default_rng(extent)
         x = _tied_input(fill, extent, dtype, rng)
         pool = L.MaxPool2D(kernel, stride, padding)
-        out = pool.forward(x)
+        out = pool.forward(x, train=True)
         upstream = rng.standard_normal(out.shape).astype(dtype)
         upstream[0, 0, 0] = -0.0
         want, want_arg, want_dx = window_path_pool(x, kernel, stride, padding,
@@ -236,6 +259,21 @@ class TestMaxPoolSlices:
         dx = pool.backward(upstream)
         assert dx.dtype == dtype and dx.shape == x.shape
         assert dx.tobytes() == want_dx.tobytes()
+
+    @slice_cases
+    def test_eval_output_equals_train(self, kernel, stride, padding, extent,
+                                      fill, dtype):
+        x = _tied_input(fill, extent, dtype, np.random.default_rng(extent))
+        # a first window whose maxima are zeros of both signs, in each order
+        x[:, :3, :3] = -1.0
+        x[0, 0, :2] = [[-0.0], [0.0]]
+        x[1, 0, :2] = [[0.0], [-0.0]]
+        pool = L.MaxPool2D(kernel, stride, padding)
+        train_out = pool.forward(x, train=True)
+        eval_out = pool.forward(x, train=False)
+        assert pool.cache is None  # no first-max index
+        assert eval_out.dtype == dtype
+        assert eval_out.tobytes() == train_out.tobytes()
 
 
 class TestConvWindows:
@@ -261,14 +299,14 @@ class TestConvWindows:
     def test_pointwise_conv_caches_view_of_input(self):
         conv = L.Conv2D(4, 1, in_channels=3, seed=0)
         x = np.random.default_rng(0).random((2, 5, 5, 3), np.float32)
-        conv.forward(x)
+        conv.forward(x, train=True)
         assert np.shares_memory(conv.cache[0], x)
 
     def test_pointwise_conv_backward_skips_scatter(self, monkeypatch):
         conv = L.Conv2D(4, 1, in_channels=3, seed=0)
         rng = np.random.default_rng(1)
         x = rng.random((2, 5, 5, 3), np.float32)
-        conv.forward(x)
+        conv.forward(x, train=True)
         upstream = rng.standard_normal((2, 5, 5, 4)).astype(np.float32)
         upstream[0, 0, 0] = -0.0
         dcol = upstream.reshape(-1, 4) @ conv.params["weight"].reshape(3, 4).T

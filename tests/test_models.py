@@ -1,3 +1,6 @@
+import functools
+import weakref
+
 import numpy as np
 import pytest
 
@@ -304,3 +307,60 @@ class TestBackward:
                 assert g.dtype == np.float32
                 assert np.all(g == (0 if node.layer.trainable else 1)), \
                     node.name
+
+
+def _cached_arrays(layer):
+    """The arrays a layer's forward cache holds."""
+    items = layer.cache if isinstance(layer.cache, tuple) else (layer.cache,)
+    return [a for a in items if isinstance(a, np.ndarray)]
+
+
+class TestLiveness:
+    @pytest.mark.parametrize("model_id", [8, 1])
+    def test_eval_forward_caches_nothing_larger_than_logits(self, model_id):
+        model = models.build_model(models.registry_lookup(model_id), seed=0)
+        x = np.random.default_rng(0).random((2, *models.INPUT_SPEC),
+                                            np.float32)
+        model.forward(x, train=True, rng=np.random.default_rng(0))
+        model.forward(x, train=False)  # replaces every train-mode cache
+        logits = model.nodes[-1].layer.logits
+        for node in model.nodes:
+            for arr in _cached_arrays(node.layer):
+                assert arr.size <= logits.size, (node.name, arr.shape)
+
+    @pytest.mark.parametrize("model_id", [8, 1])
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_output_dead_after_last_reader(self, model_id, train):
+        model = models.build_model(models.registry_lookup(model_id), seed=0)
+        last_reader = {}
+        for j, node in enumerate(model.nodes):
+            for i in node.inputs:
+                last_reader[i] = j
+        refs, late, checked = {}, [], []
+
+        def spy(*args, _fn, _j, **kwargs):
+            # each output whose last reader has run is gone, unless a
+            # train-mode backward cache or a live view (flatten) holds it
+            done = [i for i in refs
+                    if last_reader.get(i, len(model.nodes)) < _j]
+            held = [a for n in model.nodes for a in _cached_arrays(n.layer)]
+            held += [ref() for i, ref in refs.items() if i not in done]
+            for i in done:
+                checked.append(i)
+                out = refs[i]()
+                if out is not None and not any(
+                        np.may_share_memory(out, a) for a in held):
+                    late.append((model.nodes[i].name, model.nodes[_j].name))
+                del out
+            out = _fn(*args, **kwargs)
+            refs[_j] = weakref.ref(out)
+            return out
+
+        for j, node in enumerate(model.nodes):
+            node.layer.forward = functools.partial(spy, _fn=node.layer.forward,
+                                                   _j=j)
+        x = np.random.default_rng(1).random((2, *models.INPUT_SPEC),
+                                            np.float32)
+        model.forward(x, train=train, rng=np.random.default_rng(1))
+        assert len(set(checked)) == len(model.nodes) - 2  # all but the last two
+        assert not late, late[:5]

@@ -23,6 +23,26 @@ class TestCreation:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, T.he_normal([4, 5], seed=10))
 
+    @pytest.mark.parametrize("shape", [(3, 3, 3, 32), (65537,),
+                                       (2, 65536 + 3), (512, 300)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_he_normal_is_one_normal_draw(self, shape, dtype):
+        # chunked filling draws the stream one rng.normal call would
+        std = math.sqrt(2.0 / int(np.prod(shape[:-1])))
+        want = np.random.Generator(np.random.PCG64(7)).normal(
+            0.0, std, size=shape).astype(dtype)
+        got = T.he_normal(shape, seed=7, dtype=dtype)
+        assert got.dtype == dtype and got.shape == shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_he_normal_without_seed_draws_nothing(self, monkeypatch):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("random generator constructed")
+
+        monkeypatch.setattr(T.np.random, "Generator", no_rng)
+        buf = T.he_normal((3, 3, 8, 16), seed=None)
+        assert buf.shape == (3, 3, 8, 16) and buf.dtype == np.float32
+
 
 def _pool_extent(extent, kernel, stride, padding):
     """Output height a max-pool layer produces on an extent x extent map."""

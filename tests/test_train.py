@@ -1,11 +1,15 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from pednet import checkpoint as ckpt
-from pednet import models
+from pednet import models, optim
+from pednet import tensor as T
 from pednet import train as engine
 from pednet.data import one_hot
-from pednet.errors import CheckpointError, DataError, ShapeError
+from pednet.errors import CheckpointError, DataError, NumericError, ShapeError
 from pednet.train import TrainConfig, cross_entropy_loss
 
 from conftest import synthetic_arrays
@@ -160,7 +164,67 @@ class TestEarlyStopping:
         assert after < before
 
 
+def reference_pack_tensor(name, arr):
+    """A tensor table entry as the checkpoint writer packed it when each
+    tensor went through astype, tobytes and a bytes concatenation."""
+    arr = np.ascontiguousarray(arr)
+    tags = {"<f4": 0, "<f8": 1}
+    nb = name.encode("utf-8")
+    head = struct.pack("<H", len(nb)) + nb
+    head += struct.pack("<BB", tags[arr.dtype.newbyteorder("<").str],
+                        arr.ndim)
+    head += struct.pack(f"<{arr.ndim}I", *arr.shape)
+    return head + arr.astype(arr.dtype.newbyteorder("<")).tobytes()
+
+
+def reference_checkpoint(meta, tensors):
+    meta_bytes = json.dumps(meta, sort_keys=True,
+                            separators=(",", ":")).encode("utf-8")
+    return (b"PDCN" + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes
+            + struct.pack("<I", len(tensors))
+            + b"".join(reference_pack_tensor(k, v)
+                       for k, v in tensors.items()))
+
+
 class TestCheckpoint:
+    def test_bytes_match_reference_packing(self, tmp_path):
+        cfg = models.registry_lookup(8)
+        model = models.build_model(cfg, seed=1)
+        opt = optim.make_optimizer(cfg)
+        for layer in (n.layer for n in model.nodes):
+            for g in layer.grads.values():
+                g.fill(0.5)
+        opt.step(model)  # every velocity slot exists
+        path = tmp_path / "m8.pdcn"
+        ckpt.save_model(path, model, cfg, optimizer=opt)
+        meta = ckpt.read_checkpoint(path).meta
+        assert path.read_bytes() == reference_checkpoint(
+            meta, ckpt.model_tensors(model, opt))
+        # float64, big-endian and non-contiguous tensors
+        rng = np.random.default_rng(0)
+        odd = {"f8": rng.standard_normal((3, 2)),
+               "be": rng.standard_normal((2, 5)).astype(">f4"),
+               "strided": rng.standard_normal((4, 6)).astype(np.float32).T}
+        ckpt.write_checkpoint(path, {"k": 1}, odd)
+        assert path.read_bytes() == reference_checkpoint({"k": 1}, odd)
+
+    def test_restore_draws_no_weights(self, tmp_path, monkeypatch):
+        cfg = models.registry_lookup(8)
+        model = models.build_model(cfg, seed=3)
+        path = tmp_path / "m8.pdcn"
+        ckpt.save_model(path, model, cfg)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("the restore drew random numbers")
+
+        monkeypatch.setattr(np.random, "Generator", no_rng)
+        restored, _, _, _ = ckpt.restore_model(path)
+        saved = ckpt.model_tensors(model)
+        got = ckpt.model_tensors(restored)
+        assert got.keys() == saved.keys()
+        for key, arr in got.items():
+            assert arr.tobytes() == saved[key].tobytes(), key
+
     def _trained(self, tmp_path):
         from pednet import optim
 
@@ -311,3 +375,71 @@ class TestHistory:
         assert history.optimizer.lr == cfg.lr_finetune
         assert history.to_csv().endswith(
             "# best_epoch=5 stop_reasons=early_stop,max_epochs\n")
+
+
+def poison(model, name, value, from_call=0):
+    """Make node `name` write `value` into the first element of its output
+    from its `from_call`-th forward call on."""
+    layer = next(n.layer for n in model.nodes if n.name == name)
+    real, calls = layer.forward, []
+
+    def forward(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if len(calls) >= from_call:
+            out.flat[0] = value
+        calls.append(kwargs.get("train"))
+        return out
+
+    layer.forward = forward
+    return calls
+
+
+class TestFiniteness:
+    def test_nan_names_node_epoch_and_batch(self):
+        cfg = models.registry_lookup(8)
+        model = models.build_model(cfg, seed=0)
+        x, y, _ = synthetic_arrays(per_class=2, seed=3)
+        # batch 1's forward and its per-node re-run see the NaN
+        calls = poison(model, "block2_bn", np.nan, from_call=1)
+        tc = TrainConfig(seed=0, max_epochs_phase1=1, patience=5)
+        with pytest.raises(NumericError) as err:
+            engine.train(model, cfg, tc, x, y, x, y)
+        assert str(err.value) == \
+            "non-finite values in block2_bn at epoch 1, batch 1"
+        assert calls == [True, True, True]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf],
+                             ids=["nan", "inf"])
+    def test_predict_names_node(self, value):
+        model = models.build_model(models.registry_lookup(8), seed=0)
+        poison(model, "block3_conv", value)
+        x, _, _ = synthetic_arrays(per_class=1, seed=3)
+        with pytest.raises(NumericError) as err, np.errstate(invalid="ignore"):
+            engine.predict(model, x)
+        assert str(err.value) == "non-finite values in block3_conv"
+
+    @pytest.mark.parametrize("name", ["block2_bn", "head_dense1"])
+    def test_negative_inf_clamped_by_relu_is_not_reported(self, name):
+        # the one non-finite value the logits check does not see: a -inf
+        # that the next ReLU turns into 0 never reaches the logits
+        model = models.build_model(models.registry_lookup(8), seed=0)
+        poison(model, name, -np.inf)
+        x, _, _ = synthetic_arrays(per_class=1, seed=3)
+        probs = model.forward(x, train=False)
+        assert np.all(np.isfinite(probs))
+        assert np.all(np.isfinite(model.nodes[-1].layer.logits))
+
+    def test_check_finite_once_per_clean_forward(self, monkeypatch):
+        contexts = []
+        real = T.check_finite
+
+        def counting(x, context="tensor"):
+            contexts.append(context)
+            return real(x, context)
+
+        monkeypatch.setattr(T, "check_finite", counting)
+        model = models.build_model(models.registry_lookup(8), seed=0)
+        x, _, _ = synthetic_arrays(per_class=1, seed=3)
+        model.forward(x, train=True, rng=np.random.default_rng(0))
+        model.forward(x, train=False)
+        assert contexts == ["logits", "logits"]
