@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -23,12 +22,10 @@ from .models import (CLASS_NAMES, build_model, registry_lookup)
 _TRAIN_FIELDS = {"seed": "seed", "batch_size": "batch_size",
                  "epochs": "max_epochs_phase1",
                  "epochs_phase2": "max_epochs_phase2", "patience": "patience"}
-_AUGMENT_DEFAULTS = asdict(data.AugmentRanges())
 _DEFAULTS = {
     **{key: getattr(train.TrainConfig(), name)
        for key, name in _TRAIN_FIELDS.items()},
     "balance_target": 5000,
-    **_AUGMENT_DEFAULTS,
 }
 
 
@@ -79,8 +76,7 @@ def cmd_prepare(args) -> int:
     os.makedirs(args.workdir, exist_ok=True)
     manifest = data.prepare_dataset(
         args.annotations, args.frames, args.workdir,
-        target=cfg["balance_target"], seed=cfg["seed"],
-        ranges=data.AugmentRanges(**{k: cfg[k] for k in _AUGMENT_DEFAULTS}))
+        target=cfg["balance_target"], seed=cfg["seed"])
     print(f"{'class':<16} {'train':>7} {'val':>7} {'test':>7}")
     for name in CLASS_NAMES:
         row = [manifest.per_class_counts(s)[name] for s in data.SPLITS]

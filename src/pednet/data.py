@@ -23,6 +23,12 @@ _CLASS_BY_LOWER = {name.lower(): name for name in CLASS_NAMES}
 SPLITS = ("train", "val", "test")
 SPLIT_RATIOS = (0.7, 0.2, 0.1)  # train/val/test share of each class
 CROP_SIZE = 99
+# the ranges of the balancing augmentation's uniform draws
+AUGMENT_ROTATION_DEG = 15.0
+AUGMENT_SHIFT_FRAC = 0.10  # of the crop's width or height
+AUGMENT_SHEAR_DEG = 10.0
+AUGMENT_ZOOM_FRAC = 0.10
+AUGMENT_FLIP_PROB = 0.5
 
 
 def class_slug(name: str) -> str:
@@ -113,7 +119,8 @@ def read_ppm(path) -> np.ndarray:
 
 def load_image(path) -> np.ndarray:
     """Decode to a float32 (H,W,3) array with values in [0,255]; an image
-    that cannot be read is a DataError that names its path."""
+    that cannot be read, or has no pixels, is a DataError that names its
+    path."""
     ext = os.path.splitext(str(path))[1].lower()
     if ext != ".ppm":
         try:
@@ -122,11 +129,16 @@ def load_image(path) -> np.ndarray:
             raise DataError(f"{path}: non-PPM decode requires Pillow") from e
     try:
         if ext == ".ppm":
-            return read_ppm(path)
-        with Image.open(path) as im:
-            return np.asarray(im.convert("RGB"), dtype=np.float32)
+            image = read_ppm(path)
+        else:
+            with Image.open(path) as im:
+                image = np.asarray(im.convert("RGB"), dtype=np.float32)
     except OSError as e:
         raise DataError(f"{path}: {e.strerror or e}") from e
+    h, w = image.shape[:2]
+    if not h or not w:
+        raise DataError(f"{path}: image has zero width or height ({w}x{h})")
+    return image
 
 
 def read_text(path) -> str:
@@ -157,7 +169,8 @@ def parse_coco(text: str) -> tuple[list[AnnotationRecord], int]:
     """Parse the text of a COCO-format annotation file.
 
     Returns records sorted by annotation id plus the count of annotations
-    skipped for a missing bbox.
+    skipped for an absent, null or empty bbox; any other bbox must be four
+    finite numbers.
     """
     try:
         document = json.loads(text)
@@ -184,7 +197,7 @@ def parse_coco(text: str) -> tuple[list[AnnotationRecord], int]:
     skipped = 0
     for ann in document["annotations"]:
         bbox = ann.get("bbox")
-        if not bbox or isinstance(bbox, list) and len(bbox) != 4:
+        if bbox is None or bbox == []:
             skipped += 1
             continue
         ann_id = _entry_field(ann, "id", "an annotation")
@@ -197,14 +210,15 @@ def parse_coco(text: str) -> tuple[list[AnnotationRecord], int]:
             raise DataError(f"annotation {ann_id} references "
                             f"unknown image id {image_id}")
         try:
-            box = (tuple(float(v) for v in bbox) if isinstance(bbox, list)
-                   else None)
+            box = (tuple(float(v) for v in bbox)
+                   if isinstance(bbox, list) and len(bbox) == 4 else None)
             ids = int(ann_id), int(image_id)
         except (TypeError, ValueError):
             box = None
         if box is None or not all(map(math.isfinite, box)):
-            raise DataError(f"annotation {ann_id}: id, image_id and bbox "
-                            f"must be finite numbers, got bbox {bbox!r}")
+            raise DataError(f"annotation {ann_id}: id and image_id must be "
+                            f"numbers and bbox four finite numbers, got "
+                            f"bbox {bbox!r}")
         file_name = _entry_field(images[image_id], "file_name",
                                  f"image {image_id}")
         if not isinstance(file_name, str):
@@ -248,10 +262,8 @@ def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     h, w = image.shape[:2]
     if (h, w) == (out_h, out_w):
         return image.copy()
-    ys = (np.linspace(0.0, h - 1, out_h) if out_h > 1
-          else np.zeros(1))
-    xs = (np.linspace(0.0, w - 1, out_w) if out_w > 1
-          else np.zeros(1))
+    ys = np.linspace(0.0, h - 1, out_h)
+    xs = np.linspace(0.0, w - 1, out_w)
     return _bilinear(image, ys[:, None], xs[None, :])
 
 
@@ -265,8 +277,6 @@ def crop_and_resize(frame: np.ndarray, record: AnnotationRecord) -> np.ndarray:
     y0 = min(max(int(math.floor(y)), 0), h - 1)
     x1 = min(max(int(math.ceil(x + bw)), x0 + 1), w)
     y1 = min(max(int(math.ceil(y + bh)), y0 + 1), h)
-    if x1 - x0 < 1 or y1 - y0 < 1:
-        raise DataError(f"annotation {record.ann_id}: degenerate box after clamping")
     return bilinear_resize(frame[y0:y1, x0:x1], CROP_SIZE, CROP_SIZE)
 
 
@@ -282,24 +292,16 @@ class AugmentParams:
     zoom: float
 
 
-@dataclass(frozen=True)
-class AugmentRanges:
-    rotation_deg: float = 15.0
-    shift_frac: float = 0.10
-    shear_deg: float = 10.0
-    zoom_frac: float = 0.10
-    flip_prob: float = 0.5
-
-
-def draw_augment_params(rng: np.random.Generator,
-                        ranges: AugmentRanges = AugmentRanges()) -> AugmentParams:
+def draw_augment_params(rng: np.random.Generator) -> AugmentParams:
     return AugmentParams(
-        horizontal_flip=bool(rng.random() < ranges.flip_prob),
-        rotation_deg=float(rng.uniform(-ranges.rotation_deg, ranges.rotation_deg)),
-        shift_x=float(rng.uniform(-ranges.shift_frac, ranges.shift_frac)),
-        shift_y=float(rng.uniform(-ranges.shift_frac, ranges.shift_frac)),
-        shear_deg=float(rng.uniform(-ranges.shear_deg, ranges.shear_deg)),
-        zoom=float(rng.uniform(1.0 - ranges.zoom_frac, 1.0 + ranges.zoom_frac)),
+        horizontal_flip=bool(rng.random() < AUGMENT_FLIP_PROB),
+        rotation_deg=float(rng.uniform(-AUGMENT_ROTATION_DEG,
+                                       AUGMENT_ROTATION_DEG)),
+        shift_x=float(rng.uniform(-AUGMENT_SHIFT_FRAC, AUGMENT_SHIFT_FRAC)),
+        shift_y=float(rng.uniform(-AUGMENT_SHIFT_FRAC, AUGMENT_SHIFT_FRAC)),
+        shear_deg=float(rng.uniform(-AUGMENT_SHEAR_DEG, AUGMENT_SHEAR_DEG)),
+        zoom=float(rng.uniform(1.0 - AUGMENT_ZOOM_FRAC,
+                               1.0 + AUGMENT_ZOOM_FRAC)),
     )
 
 
@@ -362,8 +364,7 @@ def stratified_split(records: list[SampleRecord],
 
 
 def balance_train(manifest: DatasetManifest, target: int, seed: int,
-                  aug_dir, ranges: AugmentRanges = AugmentRanges()
-                  ) -> DatasetManifest:
+                  aug_dir) -> DatasetManifest:
     """Downsample majority classes to `target` train originals; augment
     minority classes round-robin until each reaches `target`. Augmented
     crops are materialized under aug_dir/<class-slug>/."""
@@ -387,7 +388,7 @@ def balance_train(manifest: DatasetManifest, target: int, seed: int,
         need = target - len(originals)
         for k in range(need):
             src = originals[k % len(originals)]
-            params = draw_augment_params(rng, ranges)
+            params = draw_augment_params(rng)
             image = augment(load_image(src.path), params)
             path = os.path.join(out_dir, f"aug_{src.source_id}_{k:05d}.ppm")
             write_ppm(path, image)
@@ -435,8 +436,7 @@ def read_manifest(path) -> DatasetManifest:
 # -- end-to-end preparation ----------------------------------------------
 
 def prepare_dataset(annotation_path, frames_dir, workdir, target: int,
-                    seed: int = 0, ranges: AugmentRanges = AugmentRanges()
-                    ) -> DatasetManifest:
+                    seed: int = 0) -> DatasetManifest:
     """parse -> crop -> split -> balance -> manifest, all under workdir; an
     annotation that cannot be parsed or cropped is a DataError that names
     the annotation file."""
@@ -468,7 +468,7 @@ def prepare_dataset(annotation_path, frames_dir, workdir, target: int,
         del frame  # before the next frame is decoded
     manifest = stratified_split(samples, seed)
     manifest = balance_train(manifest, target, seed,
-                             os.path.join(workdir, "augmented"), ranges)
+                             os.path.join(workdir, "augmented"))
     write_manifest(manifest, os.path.join(workdir, "manifest.tsv"))
     return manifest
 

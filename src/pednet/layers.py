@@ -80,7 +80,8 @@ def _first_max(arrays, index=True):
 
 
 class Layer:
-    """Base: parameter registry, gradient buffers, trainable flag, cache."""
+    """Base: parameter registry, gradient buffers, trainable flag, cache.
+    Each kind defines forward(x, train, rng) and backward(upstream)."""
 
     kind = "layer"
 
@@ -91,12 +92,6 @@ class Layer:
         self.state: dict[str, np.ndarray] = {}
         self.trainable = True
         self.cache = None
-
-    def forward(self, x, train=False, rng=None):
-        raise NotImplementedError
-
-    def backward(self, upstream):
-        raise NotImplementedError
 
     def _require_cache(self):
         if self.cache is None:
@@ -349,7 +344,7 @@ class Dropout(Layer):
         self.rate = rate
 
     def forward(self, x, train=False, rng=None):
-        if not train or self.rate == 0.0:
+        if not train:
             self.cache = np.asarray(1.0, dtype=x.dtype)
             return x
         if rng is None:

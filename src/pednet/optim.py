@@ -18,7 +18,7 @@ class Optimizer:
     """Holds per-parameter slots keyed by qualified parameter name.
 
     Slots are allocated lazily so newly unfrozen parameters (phase 2) get
-    fresh zero state.
+    fresh zero state. Each kind defines `_update(name, param, grad)`.
     """
 
     kind = "optimizer"
@@ -44,9 +44,6 @@ class Optimizer:
         self.t += 1
         for name, layer, pname in model.named_params(trainable_only=True):
             self._update(name, layer.params[pname], layer.grads[pname])
-
-    def _update(self, name, param, grad):
-        raise NotImplementedError
 
 
 class SGDMomentum(Optimizer):

@@ -339,6 +339,28 @@ def _zero_width_box(document):
     document["annotations"][0]["bbox"][2] = 0
 
 
+def _prepare_zero_width_frame(t):
+    """The third frame decodes to 0x5 pixels, and its box starts left of
+    the frame, so that cropping alone would not reject it."""
+    _, ann, frames = t.corpus
+    copy = t.tmp / "frames"
+    shutil.copytree(frames, copy)
+    with open(ann, encoding="utf-8") as f:
+        document = json.load(f)
+    image = sorted(document["images"], key=lambda i: i["file_name"])[2]
+    box = next(a["bbox"] for a in document["annotations"]
+               if a["image_id"] == image["id"])
+    box[0] = -10
+    changed = t.tmp / "ann.json"
+    changed.write_text(json.dumps(document), encoding="utf-8")
+    frame = os.path.join(str(copy), image["file_name"])
+    with open(frame, "wb") as f:
+        f.write(b"P6\n0 5\n255\n")
+    return (["prepare", "--annotations", str(changed), "--frames", str(copy),
+             "--workdir", str(t.tmp / "w"), "--balance-target", "6"],
+            frame, 2)
+
+
 def _coco_set(path, value):
     """An edit that puts `value` at `path`, a key or a tuple of keys and
     indices."""
@@ -434,6 +456,8 @@ class TestFailures:
         _coco_document(_coco_set(("annotations", 0), 5)),
         _coco_document(_coco_set(("categories", 0), [0])),
         _coco_document(_coco_set(("annotations", 0, "bbox"), 5)),
+        _coco_document(_coco_set(("annotations", 0, "bbox"), [0, 0, 5])),
+        _prepare_zero_width_frame,
         _coco_document(_coco_set(("annotations", 0, "image_id"), [1])),
         _coco_document(_coco_set(("categories", 0, "id"), [0])),
         _coco_document(_coco_set(("images", 0, "file_name"), 7)),
@@ -460,7 +484,8 @@ class TestFailures:
             "coco_images_not_an_array", "coco_annotations_not_an_array",
             "coco_categories_not_an_array", "coco_image_not_an_object",
             "coco_annotation_not_an_object", "coco_category_not_an_object",
-            "coco_bbox_a_number", "coco_image_id_a_list",
+            "coco_bbox_a_number", "coco_bbox_three_numbers",
+            "prepare_zero_width_frame", "coco_image_id_a_list",
             "coco_category_id_a_list", "coco_file_name_a_number",
             "checkpoint_optimizer_lr_not_a_number",
             "checkpoint_optimizer_lr_zero",
@@ -529,7 +554,8 @@ class TestConfigFile:
     @pytest.mark.parametrize("line, message", [
         ("epoch = 5", "unknown key 'epoch'"),
         ("batch_size = eight", "batch_size must be int, got 'eight'"),
-    ], ids=["unknown_key", "non_numeric"])
+        ("rotation_deg = 20", "unknown key 'rotation_deg'"),
+    ], ids=["unknown_key", "non_numeric", "removed_augment_key"])
     def test_bad_entry_names_file_and_line(self, tmp_path, capsys, line,
                                            message):
         cfg = tmp_path / "run.cfg"

@@ -64,9 +64,20 @@ class TestParseCoco:
         doc = coco_doc([
             {"id": 1, "image_id": 1, "category_id": 0, "bbox": [0, 0, 3, 3]},
             {"id": 2, "image_id": 1, "category_id": 0},
+            {"id": 3, "image_id": 1, "category_id": 0, "bbox": None},
+            {"id": 4, "image_id": 1, "category_id": 0, "bbox": []},
         ])
         records, skipped = data.parse_coco(doc)
-        assert len(records) == 1 and skipped == 1
+        assert len(records) == 1 and skipped == 3
+
+    @pytest.mark.parametrize("bbox", [[0, 0, 5], [0, 0, 5, 5, 5], 0, "",
+                                      False, {}])
+    def test_present_bbox_not_four_numbers(self, bbox):
+        doc = coco_doc([{"id": 7, "image_id": 1, "category_id": 0,
+                         "bbox": bbox}])
+        with pytest.raises(DataError, match="annotation 7: .*bbox four "
+                                            "finite numbers"):
+            data.parse_coco(doc)
 
     def test_sorted_by_annotation_id(self):
         doc = coco_doc([
@@ -159,15 +170,14 @@ class TestAugment:
         assert a == b
 
     def test_draw_ranges(self):
-        ranges = data.AugmentRanges()
         rng = np.random.default_rng(6)
         for _ in range(200):
-            p = data.draw_augment_params(rng, ranges)
-            assert abs(p.rotation_deg) <= ranges.rotation_deg
-            assert abs(p.shift_x) <= ranges.shift_frac
-            assert abs(p.shift_y) <= ranges.shift_frac
-            assert abs(p.shear_deg) <= ranges.shear_deg
-            assert abs(p.zoom - 1.0) <= ranges.zoom_frac
+            p = data.draw_augment_params(rng)
+            assert abs(p.rotation_deg) <= data.AUGMENT_ROTATION_DEG
+            assert abs(p.shift_x) <= data.AUGMENT_SHIFT_FRAC
+            assert abs(p.shift_y) <= data.AUGMENT_SHIFT_FRAC
+            assert abs(p.shear_deg) <= data.AUGMENT_SHEAR_DEG
+            assert abs(p.zoom - 1.0) <= data.AUGMENT_ZOOM_FRAC
 
 
 def reference_bilinear(image, sy, sx):
