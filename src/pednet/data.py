@@ -170,7 +170,7 @@ def parse_coco(text: str) -> tuple[list[AnnotationRecord], int]:
 
     Returns records sorted by annotation id plus the count of annotations
     skipped for an absent, null or empty bbox; any other bbox must be four
-    finite numbers.
+    finite numbers, and no two kept annotations may share an int(id).
     """
     try:
         document = json.loads(text)
@@ -194,6 +194,7 @@ def parse_coco(text: str) -> tuple[list[AnnotationRecord], int]:
     images = {_entry_field(img, "id", "an image"): img
               for img in document["images"]}
     records = []
+    first_ids = {}  # int(id), which names the crop file -> the first id
     skipped = 0
     for ann in document["annotations"]:
         bbox = ann.get("bbox")
@@ -219,6 +220,10 @@ def parse_coco(text: str) -> tuple[list[AnnotationRecord], int]:
             raise DataError(f"annotation {ann_id}: id and image_id must be "
                             f"numbers and bbox four finite numbers, got "
                             f"bbox {bbox!r}")
+        if ids[0] in first_ids:
+            raise DataError(f"annotation {ann_id}: id repeats annotation "
+                            f"{first_ids[ids[0]]}")
+        first_ids[ids[0]] = ann_id
         file_name = _entry_field(images[image_id], "file_name",
                                  f"image {image_id}")
         if not isinstance(file_name, str):

@@ -119,11 +119,17 @@ class Model:
         return y
 
     def _run(self, x, train, rng, check_nodes=False):
+        """Run the nodes in order. In train mode a node below the frontier
+        drops its backward cache as soon as its forward has run: `backward`
+        never visits it."""
         outs = [None] * len(self.nodes)
+        frontier = self._frontier() if train else 0
         for j, node in enumerate(self.nodes):
             outs[j] = node.layer.forward(
                 *[x if i == -1 else outs[i] for i in node.inputs],
                 train=train, rng=rng)
+            if j < frontier:
+                node.layer.cache = None
             if check_nodes:
                 T.check_finite(outs[j], node.name)
             for i in node.inputs:
@@ -151,9 +157,7 @@ class Model:
             raise ShapeError("backward requires a softmax output layer")
         grads = [None] * len(self.nodes)
         grads[last.inputs[0]] = upstream
-        lowest = next((i for i, node in enumerate(self.nodes)
-                       if node.layer.trainable and node.layer.params),
-                      len(self.nodes))
+        lowest = self._frontier()
         for idx in range(len(self.nodes) - 1, lowest - 1, -1):
             g, grads[idx] = grads[idx], None
             if g is None:
@@ -168,6 +172,13 @@ class Model:
             for i, gi in zip(node.inputs, down):
                 if i >= lowest:
                     grads[i] = gi if grads[i] is None else grads[i] + gi
+
+    def _frontier(self):
+        """The index of the lowest node whose layer is trainable and has
+        parameters, or of the softmax if there is none."""
+        return next((i for i, node in enumerate(self.nodes)
+                     if node.layer.trainable and node.layer.params),
+                    len(self.nodes) - 1)
 
     # -- parameters -------------------------------------------------------
 

@@ -339,6 +339,12 @@ def _zero_width_box(document):
     document["annotations"][0]["bbox"][2] = 0
 
 
+def _repeated_id(document):
+    """A second annotation whose int(id) is the first one's."""
+    annotations = document["annotations"]
+    annotations[1]["id"] = annotations[0]["id"] + 0.5
+
+
 def _prepare_zero_width_frame(t):
     """The third frame decodes to 0x5 pixels, and its box starts left of
     the frame, so that cropping alone would not reject it."""
@@ -468,6 +474,7 @@ class TestFailures:
         _checkpoint(_slot_renamed("slot:nosuch.weight:velocity")),
         _checkpoint(_slot_renamed("slot:block1_conv.weight:m")),
         _checkpoint(_slot_of_another_shape),
+        _coco_document(_repeated_id),
     ], ids=["infer_missing_image", "train_missing_crop",
             "evaluate_missing_crop", "prepare_missing_frame",
             "inspect_directory_checkpoint", "infer_directory_checkpoint",
@@ -493,7 +500,7 @@ class TestFailures:
             "checkpoint_optimizer_t_negative",
             "checkpoint_slot_of_unknown_parameter",
             "checkpoint_slot_of_unknown_name",
-            "checkpoint_slot_of_another_shape"])
+            "checkpoint_slot_of_another_shape", "coco_repeated_id"])
     def test_names_the_file(self, case, corpus, prepared, trained, tmp_path):
         argv, named, code = case(SimpleNamespace(
             corpus=corpus, prepared=prepared, trained=trained, tmp=tmp_path))

@@ -60,6 +60,20 @@ class TestParseCoco:
         with pytest.raises(DataError, match="not a JSON object"):
             data.parse_coco(doc)
 
+    @pytest.mark.parametrize("second_id,message", [
+        (1, "annotation 1: id repeats annotation 1"),
+        (1.5, "annotation 1.5: id repeats annotation 1")])
+    def test_repeated_id(self, second_id, message):
+        # both would be written as crop_00000001.ppm
+        doc = coco_doc([
+            {"id": 1, "image_id": 9, "category_id": 3, "bbox": [0, 0, 5, 5]},
+            {"id": second_id, "image_id": 9, "category_id": 3,
+             "bbox": [4, 4, 6, 6]},
+        ])
+        with pytest.raises(DataError) as e:
+            data.parse_coco(doc)
+        assert str(e.value) == message
+
     def test_missing_bbox_skipped(self):
         doc = coco_doc([
             {"id": 1, "image_id": 1, "category_id": 0, "bbox": [0, 0, 3, 3]},

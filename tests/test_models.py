@@ -232,12 +232,35 @@ class TestBackward:
         assert pruned
         for node in model.nodes:
             node.layer.trainable = True
+        # the phase-mode forward kept no cache below its frontier; the same
+        # x and dropout draws give the full walk the same activations
+        _forward_loss_grad(model)
         model.zero_grads()
         model.backward(g)
         full = {(n.name, k): v for n in model.nodes
                 for k, v in n.layer.grads.items()}
         for key, grad in pruned.items():
             assert grad.tobytes() == full[key].tobytes(), key
+
+    @pytest.mark.parametrize("case", CASES + ["custom-all-trainable"])
+    def test_cache_kept_from_frontier_up(self, case):
+        if case == "custom-all-trainable":
+            model = models.build_model(models.registry_lookup(8), seed=0)
+            lowest = 0
+        else:
+            model, _ = _phase_model(case)
+            lowest = [n.name for n in model.nodes].index(self.LOWEST[case])
+        before = {n.name: n.layer.state["moving_mean"].copy()
+                  for n in model.nodes if n.layer.kind == "batchnorm"}
+        g = _forward_loss_grad(model)
+        for idx, node in enumerate(model.nodes):
+            assert (node.layer.cache is None) == (idx < lowest), node.name
+            if idx < lowest and node.layer.kind == "batchnorm":
+                # a train-mode forward below the frontier still moves them
+                assert np.any(node.layer.state["moving_mean"]
+                              != before[node.name]), node.name
+        model.zero_grads()
+        model.backward(g)
 
     @pytest.mark.parametrize("model_id,phase,frontier", [
         (8, 1, "block1_conv"), (1, 2, "stage3_block4_bn2")])

@@ -102,6 +102,63 @@ def test_quadratic_convergence(make_opt, lr):
     assert abs(dense.params["weight"][0, 0]) < start
 
 
+def _reference_sgd(opt, param, grad, v):
+    """SGD-momentum as one whole-array expression per line."""
+    v *= param.dtype.type(optim.SGD_MOMENTUM)
+    v -= param.dtype.type(opt.lr) * grad
+    param += v
+
+
+def _reference_adam(opt, param, grad, m, v):
+    """Adam as one whole-array expression per line (Kingma & Ba, Alg. 1)."""
+    dt = param.dtype.type
+    b1, b2 = dt(optim.ADAM_BETA1), dt(optim.ADAM_BETA2)
+    m *= b1
+    m += (dt(1.0) - b1) * grad
+    v *= b2
+    v += (dt(1.0) - b2) * grad * grad
+    mhat = m / dt(1.0 - optim.ADAM_BETA1 ** opt.t)
+    vhat = v / dt(1.0 - optim.ADAM_BETA2 ** opt.t)
+    param -= dt(opt.lr) * mhat / (np.sqrt(vhat) + dt(optim.ADAM_EPSILON))
+
+
+@pytest.mark.parametrize("make_opt,reference", [
+    (lambda: optim.SGDMomentum(lr=0.01), _reference_sgd),
+    (lambda: optim.Adam(lr=0.001), _reference_adam),
+], ids=["sgd_momentum", "adam"])
+def test_blocked_update_equals_whole_array_formula(make_opt, reference):
+    # two full blocks and a short tail, and a parameter smaller than a block
+    model = models.Model("GAP")
+    big = L.Dense(2 * optim.BLOCK + 7, 1, seed=0)
+    model.add("big", big, [-1])
+    opt = make_opt()
+    params = [big.params["weight"], big.params["bias"]]
+    assert params[0].size == 2 * optim.BLOCK + 7
+    assert params[1].size == 2 * optim.BLOCK + 7
+    small = L.Dense(3, 5, seed=1)
+    model.add("small", small)
+    params += [small.params["weight"], small.params["bias"]]
+    expect = [p.copy() for p in params]
+    slots = [[np.zeros_like(p) for _ in opt.slot_names] for p in params]
+    rng = np.random.default_rng(0)
+    for step in range(3):
+        for layer in (big, small):
+            for k, g in layer.grads.items():
+                g[...] = rng.standard_normal(g.shape).astype(g.dtype)
+        opt.step(model)
+        grads = [big.grads["weight"], big.grads["bias"],
+                 small.grads["weight"], small.grads["bias"]]
+        for p, g, slot in zip(expect, grads, slots):
+            reference(opt, p, g, *slot)
+        for name, p, want, slot in zip(
+                ["big.weight", "big.bias", "small.weight", "small.bias"],
+                params, expect, slots):
+            assert p.tobytes() == want.tobytes(), (step, name)
+            for s, ref in zip(opt.slot_names, slot):
+                assert opt.slots[name][s].tobytes() == ref.tobytes(), \
+                    (step, name, s)
+
+
 class TestApplyPhase:
     def test_phase2_lr_adam(self):
         cfg = models.registry_lookup(1)
