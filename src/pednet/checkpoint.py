@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import CheckpointError, ConfigError
-from .models import CLASS_NAMES, ModelConfig, build_model
+from .models import CLASS_NAMES, build_model, registry_lookup
 from .optim import make_optimizer
 
 MAGIC = b"PDCN"
@@ -157,15 +157,26 @@ def restore_model(path):
     data = read_checkpoint(path)
     cfg = _field(path, data.meta, "config", "metadata")
     try:
-        # older files carry a "pretrained" entry, always null
-        config = ModelConfig(**{k: v for k, v in {**cfg}.items()
-                                if k != "pretrained"})
-        # every tensor is assigned below, once _require has checked it
-        model = build_model(config, seed=None)
-    except (TypeError, ConfigError) as e:
+        config = registry_lookup(_field(path, cfg, "model_id",
+                                        "metadata config"))
+    except ConfigError as e:
         raise CheckpointError(f"{path}: metadata config: {e}") from None
+    # older files carry a "pretrained" entry, always null
+    stored = {k: v for k, v in cfg.items() if k != "pretrained"}
+    want = asdict(config)
+    for key in sorted(stored.keys() | want.keys()):
+        if key not in stored or key not in want or stored[key] != want[key]:
+            raise CheckpointError(f"{path}: metadata config: {key} differs "
+                                  f"from registry model {config.model_id}: "
+                                  f"{want}")
+    # every tensor is assigned below, once _require has checked it
+    model = build_model(config, seed=None)
     assign_tensors(model, _require(path, data.tensors, model_tensors(model)))
-    trainable = set(data.meta.get("trainable_nodes", []))
+    trainable = data.meta.get("trainable_nodes", [])
+    names = [node.name for node in model.nodes]
+    if type(trainable) is not list or any(n not in names for n in trainable):
+        raise CheckpointError(f"{path}: trainable_nodes must be a list of "
+                              f"model {config.model_id}'s node names")
     for node in model.nodes:
         node.layer.trainable = node.name in trainable
     opt = None

@@ -342,7 +342,7 @@ def augment(image: np.ndarray, params: AugmentParams) -> np.ndarray:
 def stratified_split(records: list[SampleRecord],
                      seed: int = 0) -> DatasetManifest:
     """Class-wise seeded shuffle then floor/floor/remainder assignment of
-    SPLIT_RATIOS."""
+    SPLIT_RATIOS; a class needs 3 samples (a val sample takes 5)."""
     by_class: dict[str, list[SampleRecord]] = {n: [] for n in CLASS_NAMES}
     for rec in records:
         if rec.class_name not in by_class:
@@ -351,11 +351,9 @@ def stratified_split(records: list[SampleRecord],
     out = []
     for ci, name in enumerate(CLASS_NAMES):
         recs = sorted(by_class[name], key=lambda r: r.source_id)
-        if not recs:
-            continue
         if len(recs) < 3:
-            raise DataError(f"class {name!r} has {len(recs)} samples; "
-                            "need at least 3 to populate all splits")
+            raise DataError(f"class {name!r} has {len(recs)} samples; a "
+                            "class needs 3 for a train and a test sample")
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([seed, 10, ci])))
         order = rng.permutation(len(recs))
@@ -379,8 +377,6 @@ def balance_train(manifest: DatasetManifest, target: int, seed: int,
             (s for s in manifest.samples
              if s.split == "train" and s.class_name == name),
             key=lambda s: s.source_id)
-        if not originals:
-            raise DataError(f"class {name!r} has no train originals to balance")
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([seed, 20, ci])))
         if len(originals) >= target:
@@ -443,8 +439,8 @@ def read_manifest(path) -> DatasetManifest:
 def prepare_dataset(annotation_path, frames_dir, workdir, target: int,
                     seed: int = 0) -> DatasetManifest:
     """parse -> crop -> split -> balance -> manifest, all under workdir; an
-    annotation that cannot be parsed or cropped is a DataError that names
-    the annotation file."""
+    annotation that cannot be parsed or cropped, or class counts that give
+    no usable split, are a DataError that names the annotation file."""
     if target < 1:
         raise DataError(f"balance target must be >= 1, got {target}")
     try:
@@ -471,7 +467,13 @@ def prepare_dataset(annotation_path, frames_dir, workdir, target: int,
             samples.append(SampleRecord(path, rec.class_name, "train",
                                         "original", rec.ann_id))
         del frame  # before the next frame is decoded
-    manifest = stratified_split(samples, seed)
+    try:
+        manifest = stratified_split(samples, seed)
+    except DataError as e:
+        raise DataError(f"{annotation_path}: {e}") from None
+    if not manifest.split_samples("val"):
+        raise DataError(f"{annotation_path}: no class has 5 samples, so "
+                        "the val split is empty")
     manifest = balance_train(manifest, target, seed,
                              os.path.join(workdir, "augmented"))
     write_manifest(manifest, os.path.join(workdir, "manifest.tsv"))

@@ -345,7 +345,7 @@ class Dropout(Layer):
 
     def forward(self, x, train=False, rng=None):
         if not train:
-            self.cache = np.asarray(1.0, dtype=x.dtype)
+            self.cache = None
             return x
         if rng is None:
             raise StateError("dropout in train mode requires an rng")

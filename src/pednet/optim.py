@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, OptimizerError
+from .errors import OptimizerError
 from .models import Model, ModelConfig
 
 SGD_MOMENTUM = 0.9
@@ -30,8 +30,6 @@ class Optimizer:
     slot_names: tuple[str, ...] = ()
 
     def __init__(self, lr: float):
-        if lr <= 0:
-            raise OptimizerError(f"learning rate must be positive, got {lr}")
         self.lr = lr
         self.t = 0
         self.slots: dict[str, dict[str, np.ndarray]] = {}
@@ -98,29 +96,21 @@ class Adam(Optimizer):
 
 
 def make_optimizer(config: ModelConfig, lr: float | None = None) -> Optimizer:
-    lr = config.lr_initial if lr is None else lr
-    if config.optimizer == "adam":
-        return Adam(lr)
-    if config.optimizer == "sgd_momentum":
-        return SGDMomentum(lr)
-    raise ConfigError(f"unknown optimizer {config.optimizer!r}")
+    cls = Adam if config.optimizer == "adam" else SGDMomentum
+    return cls(config.lr_initial if lr is None else lr)
 
 
 def apply_phase(config: ModelConfig, model: Model, opt: Optimizer,
                 phase: int) -> Optimizer:
     """Phase 1: backbone frozen at the initial learning rate. Phase 2
-    (resnet50 only): unfreeze the last 100 backbone layer objects and drop
-    the learning rate to the fine-tune value with fresh optimizer slots for
-    the newly trainable parameters."""
+    (which `train` runs for resnet50 only): unfreeze the last 100 backbone
+    layer objects and drop the learning rate to the fine-tune value with
+    fresh optimizer slots for the newly trainable parameters."""
     if phase == 1:
         for node in model.nodes[:model.backbone_len]:
             node.layer.trainable = False
         opt.lr = config.lr_initial
         return opt
-    if phase != 2:
-        raise ConfigError(f"phase must be 1 or 2, got {phase}")
-    if config.architecture != "resnet50":
-        raise ConfigError("phase 2 applies only to resnet50 configurations")
     start = max(model.backbone_len - FINETUNE_LAYER_COUNT, 0)
     for node in model.nodes[start:model.backbone_len]:
         node.layer.trainable = True

@@ -345,6 +345,17 @@ def _repeated_id(document):
     annotations[1]["id"] = annotations[0]["id"] + 0.5
 
 
+def _class_counts(counts):
+    """An edit that keeps the first counts[c] annotations of category c."""
+    def edit(document):
+        kept = {c: [] for c in range(len(counts))}
+        for a in document["annotations"]:
+            kept[a["category_id"]].append(a)
+        document["annotations"] = [a for c, n in enumerate(counts)
+                                   for a in kept[c][:n]]
+    return edit
+
+
 def _prepare_zero_width_frame(t):
     """The third frame decodes to 0x5 pixels, and its box starts left of
     the frame, so that cropping alone would not reject it."""
@@ -429,6 +440,20 @@ def _unknown_architecture(meta):
     meta["config"]["architecture"] = "vgg"
 
 
+def _config_set(key, value):
+    def edit(meta):
+        meta["config"][key] = value
+    return edit
+
+
+def _trainable_nodes_not_a_list(meta):
+    meta["trainable_nodes"] = 5
+
+
+def _trainable_node_unknown(meta):
+    meta["trainable_nodes"].append("nosuch")
+
+
 def _corrupt_checkpoint(t):
     bad = t.tmp / "bad.pdcn"
     bad.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -475,6 +500,14 @@ class TestFailures:
         _checkpoint(_slot_renamed("slot:block1_conv.weight:m")),
         _checkpoint(_slot_of_another_shape),
         _coco_document(_repeated_id),
+        _checkpoint_meta(_config_set("optimizer", "rmsprop")),
+        _checkpoint_meta(_config_set("model_id", 99)),
+        _checkpoint_meta(_config_set("lr_initial", -1.0)),
+        _checkpoint_meta(_trainable_nodes_not_a_list),
+        _checkpoint_meta(_trainable_node_unknown),
+        _coco_document(_class_counts([8, 6, 6, 5, 5, 2])),
+        _coco_document(_class_counts([8, 6, 6, 5, 5, 0])),
+        _coco_document(_class_counts([4] * 6)),
     ], ids=["infer_missing_image", "train_missing_crop",
             "evaluate_missing_crop", "prepare_missing_frame",
             "inspect_directory_checkpoint", "infer_directory_checkpoint",
@@ -500,7 +533,13 @@ class TestFailures:
             "checkpoint_optimizer_t_negative",
             "checkpoint_slot_of_unknown_parameter",
             "checkpoint_slot_of_unknown_name",
-            "checkpoint_slot_of_another_shape", "coco_repeated_id"])
+            "checkpoint_slot_of_another_shape", "coco_repeated_id",
+            "checkpoint_unknown_optimizer",
+            "checkpoint_model_id_not_in_registry",
+            "checkpoint_config_not_the_registry_one",
+            "checkpoint_trainable_nodes_not_a_list",
+            "checkpoint_trainable_node_unknown", "coco_class_of_two",
+            "coco_class_missing", "coco_no_class_of_five"])
     def test_names_the_file(self, case, corpus, prepared, trained, tmp_path):
         argv, named, code = case(SimpleNamespace(
             corpus=corpus, prepared=prepared, trained=trained, tmp=tmp_path))

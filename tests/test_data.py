@@ -316,6 +316,12 @@ class TestStratifiedSplit:
         with pytest.raises(DataError):
             data.stratified_split(recs, seed=0)
 
+    def test_class_without_samples(self):
+        # every class reaches train, so balancing has originals to copy
+        recs = make_records([5, 5, 5, 5, 5, 0])
+        with pytest.raises(DataError, match="'Male Teenager' has 0 samples"):
+            data.stratified_split(recs, seed=0)
+
     def test_deterministic(self):
         recs = make_records([20, 10, 8, 7, 5, 4])
         a = data.stratified_split(recs, seed=3)
@@ -377,13 +383,6 @@ class TestBalance:
             for s in aug:
                 per_source[s.source_id] = per_source.get(s.source_id, 0) + 1
             assert set(per_source.values()) <= {2, 3}
-
-    def test_zero_originals_error(self, tmp_path):
-        manifest = data.DatasetManifest([data.SampleRecord(
-            "x.ppm", CLASS_NAMES[0], "val", "original", 1)])
-        with pytest.raises(DataError):
-            data.balance_train(manifest, target=5, seed=0,
-                               aug_dir=str(tmp_path))
 
     def test_deterministic_pixels(self, tmp_path):
         manifest = self._manifest_with_files(tmp_path, [8, 8, 8, 8, 8, 8])
@@ -505,8 +504,9 @@ class TestPrepareDataset:
             assert data.load_image(s.path).shape == (99, 99, 3)
 
     def test_holds_one_frame_at_a_time(self, tmp_path, monkeypatch):
-        # three frames with six pedestrians each; annotation ids alternate
-        # between the frames, so id order revisits every frame six times
+        # three frames with ten pedestrians each, five of every class (a
+        # class needs five for a val sample); annotation ids alternate
+        # between the frames, so id order revisits every frame ten times
         frames = tmp_path / "frames"
         frames.mkdir()
         rng = np.random.default_rng(0)
@@ -515,10 +515,10 @@ class TestPrepareDataset:
             data.write_ppm(frames / f"f{f}.ppm",
                            rng.integers(0, 256, (40, 200, 3)))
             images.append({"id": f, "file_name": f"f{f}.ppm"})
-        for k in range(18):
+        for k in range(30):
             anns.append({"id": k + 1, "image_id": k % 3,
-                         "category_id": k // 3,
-                         "bbox": [30 * (k // 3), 5, 20, 30]})
+                         "category_id": k // 5,
+                         "bbox": [30 * (k // 5), 5, 20, 30]})
         ann = tmp_path / "ann.json"
         ann.write_text(coco_doc(anns, images=images))
 
@@ -538,7 +538,7 @@ class TestPrepareDataset:
         monkeypatch.setattr(data, "load_image", load_image)
         work = tmp_path / "work"
         manifest = data.prepare_dataset(str(ann), str(frames), str(work),
-                                        target=2, seed=0)
+                                        target=3, seed=0)
         assert len(alive) == 3
         assert sorted(s.source_id for s in manifest.samples) == \
-            list(range(1, 19))
+            list(range(1, 31))

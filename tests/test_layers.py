@@ -91,15 +91,17 @@ class TestForwardSemantics:
         with pytest.raises(StateError):
             L.ReLU().backward(np.ones(3))
 
-    @pytest.mark.parametrize("kind", ["conv2d", "relu", "maxpool2d", "dense"])
+    @pytest.mark.parametrize("kind", ["conv2d", "relu", "maxpool2d", "dense",
+                                      "dropout"])
     def test_no_backward_after_eval_forward(self, kind):
         layer, x = {
             "conv2d": (L.Conv2D(4, 3, 2, seed=0), np.ones((1, 5, 5, 2))),
             "relu": (L.ReLU(), np.ones((1, 4, 4, 2))),
             "maxpool2d": (L.MaxPool2D(2, 2), np.ones((1, 4, 4, 2))),
             "dense": (L.Dense(3, 2, seed=0), np.ones((2, 2))),
+            "dropout": (L.Dropout(0.3), np.ones((2, 2))),
         }[kind]
-        y = layer.forward(x, train=True)
+        y = layer.forward(x, train=True, rng=np.random.default_rng(0))
         layer.forward(x, train=False)  # drops the train-mode cache
         assert layer.cache is None
         with pytest.raises(StateError):

@@ -4,8 +4,9 @@ Every public top-level function and class of `src/pednet` has a caller in
 the program (`src/`, `scripts/`, `perfbench/`), not only in the tests, and
 every defaulted parameter of one is passed by a program call; no script
 reaches into the test suite, an OSError is caught only where an input is
-read or where the command line reports it, and no function of the package
-imports one of its modules.
+read or where the command line reports it, a ConfigError is raised only by
+the registry lookup, and no function of the package imports one of its
+modules.
 """
 
 import ast
@@ -260,3 +261,38 @@ def test_no_package_import_inside_a_function():
         for func in _package_imports_in_functions(_parse(path))]
     assert not offenders, ("pednet modules imported inside functions: "
                            + ", ".join(offenders))
+
+
+def _config_error_raises(tree):
+    """(innermost enclosing function or None, line) of each `raise` of a
+    ConfigError, called or not."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if "ConfigError" in (getattr(exc, "id", None),
+                                 getattr(exc, "attr", None)):
+                out.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return out
+
+
+def test_config_error_raised_only_by_the_registry():
+    probe = ast.parse("def f():\n    raise ConfigError('x')\n"
+                      "def g():\n    raise ConfigError\n"
+                      "def h():\n    raise ValueError('x')\n"
+                      "raise errors.ConfigError('y')\n")
+    assert _config_error_raises(probe) == [("f", 2), ("g", 4), (None, 7)]
+    offenders = [
+        f"{os.path.relpath(path, ROOT)}:{line} {func}"
+        for path in _python_files(os.path.join("src", "pednet"))
+        for func, line in _config_error_raises(_parse(path))
+        if (os.path.basename(path), func) != ("models.py", "registry_lookup")]
+    assert not offenders, ("ConfigError raised outside "
+                           "models.registry_lookup: " + ", ".join(offenders))

@@ -40,7 +40,7 @@ class TestRegistry:
             ("resnet50", "GAP", "adam")
         assert (cfg.lr_initial, cfg.lr_finetune) == (0.0001, 0.00001)
 
-    @pytest.mark.parametrize("bad", [0, 9, -1])
+    @pytest.mark.parametrize("bad", [0, 9, -1, True, 8.0])
     def test_out_of_range(self, bad):
         with pytest.raises(ConfigError):
             models.registry_lookup(bad)

@@ -3,7 +3,7 @@ import pytest
 
 from pednet import models, optim
 from pednet import layers as L
-from pednet.errors import ConfigError, OptimizerError
+from pednet.errors import OptimizerError
 
 
 def scalar_model(value=1.0, dtype=np.float64):
@@ -187,13 +187,6 @@ class TestApplyPhase:
         # they are the last 100 backbone layer objects
         assert unfrozen == model.nodes[model.backbone_len - 100:
                                        model.backbone_len]
-
-    def test_phase2_on_custom_is_error(self):
-        cfg = models.registry_lookup(8)
-        model = models.build_custom_cnn("MP", seed=0)
-        opt = optim.make_optimizer(cfg)
-        with pytest.raises(ConfigError):
-            optim.apply_phase(cfg, model, opt, 2)
 
 
 class TestStateRoundTrip:

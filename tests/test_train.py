@@ -276,6 +276,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             ckpt.read_checkpoint(trunc)
 
+    @pytest.mark.parametrize("model_id", range(1, 9))
+    def test_every_registry_config_restores(self, tmp_path, model_id):
+        # the stored config, once through JSON, still equals the registry's
+        cfg = models.registry_lookup(model_id)
+        model = models.build_model(cfg, seed=None)
+        path = tmp_path / "m.pdcn"
+        ckpt.save_model(path, model, cfg)
+        restored, cfg2, _, _ = ckpt.restore_model(path)
+        assert cfg2 == cfg
+        assert [n.layer.trainable for n in restored.nodes] == \
+            [n.layer.trainable for n in model.nodes]
+
     def test_restored_custom_gap_reports_counts(self, tmp_path):
         cfg = models.registry_lookup(5)
         model = models.build_model(cfg, seed=1)
