@@ -7,10 +7,12 @@ available. The manifest is a line-oriented TSV, one sample per line.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -114,13 +116,12 @@ def read_ppm(path) -> np.ndarray:
     raw = buf[pos:pos + w * h * 3]
     if len(raw) != w * h * 3:
         raise DataError(f"{path}: truncated pixel data")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3).astype(np.float32)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
 
 
 def load_image(path) -> np.ndarray:
-    """Decode to a float32 (H,W,3) array with values in [0,255]; an image
-    that cannot be read, or has no pixels, is a DataError that names its
-    path."""
+    """Decode to a uint8 (H,W,3) array; an image that cannot be read, or
+    has no pixels, is a DataError that names its path."""
     ext = os.path.splitext(str(path))[1].lower()
     if ext != ".ppm":
         try:
@@ -132,7 +133,7 @@ def load_image(path) -> np.ndarray:
             image = read_ppm(path)
         else:
             with Image.open(path) as im:
-                image = np.asarray(im.convert("RGB"), dtype=np.float32)
+                image = np.asarray(im.convert("RGB"), dtype=np.uint8)
     except OSError as e:
         raise DataError(f"{path}: {e.strerror or e}") from e
     h, w = image.shape[:2]
@@ -239,9 +240,10 @@ def parse_coco(text: str) -> tuple[list[AnnotationRecord], int]:
 
 def _bilinear(image: np.ndarray, sy, sx) -> np.ndarray:
     """Bilinear samples of an (H,W,C) image at the row/column coordinates
-    sy, sx, which broadcast together and lie in [0, H-1] x [0, W-1]. Each
-    corner is one flat gather from a (C, H*W) view in the image's dtype,
-    upcast exactly inside its multiply by a float64 weight plane."""
+    sy, sx, which broadcast together and lie in [0, H-1] x [0, W-1], as
+    float32. Each corner is one flat gather from a (C, H*W) view in the
+    image's dtype (uint8 or float32), upcast exactly inside its multiply by
+    a float64 weight plane."""
     h, w, c = image.shape
     y0 = np.floor(sy).astype(np.intp)
     x0 = np.floor(sx).astype(np.intp)
@@ -259,14 +261,15 @@ def _bilinear(image: np.ndarray, sy, sx) -> np.ndarray:
     top *= 1 - wy
     bot *= wy
     top += bot
-    return top.transpose(1, 2, 0).astype(image.dtype, order="C")
+    return top.transpose(1, 2, 0).astype(np.float32, order="C")
 
 
 def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Corner-aligned bilinear resample; identity sizes return a copy."""
+    """Corner-aligned bilinear resample to float32; identity sizes return
+    a float32 copy."""
     h, w = image.shape[:2]
     if (h, w) == (out_h, out_w):
-        return image.copy()
+        return image.astype(np.float32)
     ys = np.linspace(0.0, h - 1, out_h)
     xs = np.linspace(0.0, w - 1, out_w)
     return _bilinear(image, ys[:, None], xs[None, :])
@@ -337,6 +340,47 @@ def augment(image: np.ndarray, params: AugmentParams) -> np.ndarray:
     return _bilinear(image, np.clip(sy, 0, h - 1), np.clip(sx, 0, w - 1))
 
 
+# -- parallel file work ---------------------------------------------------
+
+def _in_order(fn, calls):
+    """fn(*args) for each args of `calls`, on one worker thread per CPU this
+    process may use (numpy's gathers and ufuncs and file writes release the
+    GIL). Calls are submitted at most two per worker ahead of the one
+    awaited, since a queued call holds about 1.7 KB and the default balance
+    target makes tens of thousands. They are awaited in input order, so
+    the error raised is the first in that order, and the calls still queued
+    are then cancelled. The threads are joined before this returns."""
+    workers = len(os.sched_getaffinity(0))
+    pool = ThreadPoolExecutor(workers)
+    queued = collections.deque()
+    try:
+        for args in calls:
+            queued.append(pool.submit(fn, *args))
+            if len(queued) > 2 * workers:
+                queued.popleft().result()
+        while queued:
+            queued.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _crop_frame(annotation_path, frame_path, crops):
+    """Decode one frame and write the crop of each (record, path) of
+    `crops`; a box that cannot be cropped is a DataError that names the
+    annotation file."""
+    frame = load_image(frame_path)
+    for rec, path in crops:
+        try:
+            crop = crop_and_resize(frame, rec)
+        except DataError as e:
+            raise DataError(f"{annotation_path}: {e}") from None
+        write_ppm(path, crop)
+
+
+def _augment_file(src_path, params, path):
+    write_ppm(path, augment(load_image(src_path), params))
+
+
 # -- split and balance ----------------------------------------------------
 
 def stratified_split(records: list[SampleRecord],
@@ -370,8 +414,10 @@ def balance_train(manifest: DatasetManifest, target: int, seed: int,
                   aug_dir) -> DatasetManifest:
     """Downsample majority classes to `target` train originals; augment
     minority classes round-robin until each reaches `target`. Augmented
-    crops are materialized under aug_dir/<class-slug>/."""
+    crops are materialized under aug_dir/<class-slug>/; their parameters
+    are drawn here in class and copy order, and the warps run in parallel."""
     keep = [s for s in manifest.samples if s.split != "train"]
+    jobs = []  # (source crop, parameters, output path)
     for ci, name in enumerate(CLASS_NAMES):
         originals = sorted(
             (s for s in manifest.samples
@@ -389,12 +435,11 @@ def balance_train(manifest: DatasetManifest, target: int, seed: int,
         need = target - len(originals)
         for k in range(need):
             src = originals[k % len(originals)]
-            params = draw_augment_params(rng)
-            image = augment(load_image(src.path), params)
             path = os.path.join(out_dir, f"aug_{src.source_id}_{k:05d}.ppm")
-            write_ppm(path, image)
+            jobs.append((src.path, draw_augment_params(rng), path))
             keep.append(SampleRecord(path, name, "train", "augmented",
                                      src.source_id))
+    _in_order(_augment_file, jobs)
     return DatasetManifest(keep).sorted()
 
 
@@ -438,9 +483,10 @@ def read_manifest(path) -> DatasetManifest:
 
 def prepare_dataset(annotation_path, frames_dir, workdir, target: int,
                     seed: int = 0) -> DatasetManifest:
-    """parse -> crop -> split -> balance -> manifest, all under workdir; an
+    """parse -> split -> crop -> balance -> manifest, all under workdir; an
     annotation that cannot be parsed or cropped, or class counts that give
-    no usable split, are a DataError that names the annotation file."""
+    no usable split, are a DataError that names the annotation file. The
+    counts are checked before any frame is decoded."""
     if target < 1:
         raise DataError(f"balance target must be >= 1, got {target}")
     try:
@@ -448,25 +494,10 @@ def prepare_dataset(annotation_path, frames_dir, workdir, target: int,
     except DataError as e:
         raise DataError(f"{annotation_path}: {e}") from None
     crop_dir = os.path.join(workdir, "crops")
-    for name in sorted({r.class_name for r in records}):
-        os.makedirs(os.path.join(crop_dir, class_slug(name)), exist_ok=True)
-    samples = []
-    # frame by frame, so that one decoded frame is held at a time
-    by_frame = sorted(records, key=lambda r: (r.file_name, r.ann_id))
-    for file_name, recs in itertools.groupby(by_frame,
-                                             key=lambda r: r.file_name):
-        frame = load_image(os.path.join(frames_dir, file_name))
-        for rec in recs:
-            try:
-                crop = crop_and_resize(frame, rec)
-            except DataError as e:
-                raise DataError(f"{annotation_path}: {e}") from None
-            path = os.path.join(crop_dir, class_slug(rec.class_name),
-                                f"crop_{rec.ann_id:08d}.ppm")
-            write_ppm(path, crop)
-            samples.append(SampleRecord(path, rec.class_name, "train",
-                                        "original", rec.ann_id))
-        del frame  # before the next frame is decoded
+    samples = [SampleRecord(os.path.join(crop_dir, class_slug(r.class_name),
+                                         f"crop_{r.ann_id:08d}.ppm"),
+                            r.class_name, "train", "original", r.ann_id)
+               for r in records]
     try:
         manifest = stratified_split(samples, seed)
     except DataError as e:
@@ -474,6 +505,15 @@ def prepare_dataset(annotation_path, frames_dir, workdir, target: int,
     if not manifest.split_samples("val"):
         raise DataError(f"{annotation_path}: no class has 5 samples, so "
                         "the val split is empty")
+    for name in sorted({r.class_name for r in records}):
+        os.makedirs(os.path.join(crop_dir, class_slug(name)), exist_ok=True)
+    # one call per frame, so that each worker holds one decoded frame
+    by_frame = sorted(zip(records, (s.path for s in samples)),
+                      key=lambda rp: (rp[0].file_name, rp[0].ann_id))
+    _in_order(_crop_frame, (
+        (annotation_path, os.path.join(frames_dir, file_name), list(crops))
+        for file_name, crops in itertools.groupby(
+            by_frame, key=lambda rp: rp[0].file_name)))
     manifest = balance_train(manifest, target, seed,
                              os.path.join(workdir, "augmented"))
     write_manifest(manifest, os.path.join(workdir, "manifest.tsv"))

@@ -17,6 +17,8 @@ from .errors import ShapeError, StateError
 # Keras BatchNormalization defaults, which the paper's models train with
 BN_MOMENTUM = 0.99
 BN_EPSILON = 1e-3
+# bytes of im2col columns an eval conv builds at a time (whole images)
+COL_BUDGET = 4 * 2 ** 20
 
 
 def _pad(x, pads, value):
@@ -130,11 +132,27 @@ class Conv2D(Layer):
                              self.stride, T.SAME_CEIL)
         col = _windows(_pad(x, pads, 0.0), self.kernel, self.stride)
         w2 = self.params["weight"].reshape(-1, self.filters)
-        # a view of x for 1x1 stride 1: relies on no layer writing its input
-        col2 = col.reshape(-1, w2.shape[0])
-        self.cache = (col2, x.shape, pads) if train else None
-        y = col2 @ w2 + self.params["bias"]
-        return y.reshape(*col.shape[:3], self.filters)
+        bias = self.params["bias"]
+        if train:
+            # backward reads the whole column matrix; a view of x for 1x1
+            # stride 1, which relies on no layer writing its input
+            col2 = col.reshape(-1, w2.shape[0])
+            self.cache = (col2, x.shape, pads)
+            y = col2 @ w2 + bias
+            return y.reshape(*col.shape[:3], self.filters)
+        # eval: the columns and GEMM of a block of whole images at a time,
+        # so that the columns in memory fit COL_BUDGET (or are one image's)
+        self.cache = None
+        y = np.empty((*col.shape[:3], self.filters),
+                     np.result_type(x, w2, bias))
+        image_bytes = col[0].size * col.itemsize
+        step = max(1, COL_BUDGET // image_bytes)
+        for i in range(0, len(x), step):
+            block = y[i:i + step]
+            np.matmul(col[i:i + step].reshape(-1, w2.shape[0]), w2,
+                      out=block.reshape(-1, self.filters))
+            block += bias
+        return y
 
     def backward(self, upstream, input_grad=True):
         self._require_cache()

@@ -561,6 +561,19 @@ class TestFailures:
                     proc.stdout.strip().split("\n")] == \
                 [path for path in argv[3:] if path != named]
 
+    @pytest.mark.parametrize("counts", [
+        [8, 6, 6, 5, 5, 2], [8, 6, 6, 5, 5, 0], [4] * 6],
+        ids=["coco_class_of_two", "coco_class_missing",
+             "coco_no_class_of_five"])
+    def test_refused_counts_write_no_crop(self, counts, corpus, tmp_path,
+                                          capsys):
+        argv, named, _ = _coco_document(_class_counts(counts))(
+            SimpleNamespace(corpus=corpus, tmp=tmp_path))
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {named}: ")
+        assert not [name for _, _, names in os.walk(tmp_path / "w" / "crops")
+                    for name in names]
+
     @pytest.mark.parametrize("target", ["0", "-2"])
     def test_balance_target_below_one(self, corpus, tmp_path, capsys,
                                       target):

@@ -1,6 +1,9 @@
 import gc
 import json
 import os
+import re
+import shutil
+import threading
 import weakref
 from unittest import mock
 
@@ -253,6 +256,22 @@ class TestBilinearMatchesReference:
         assert got.tobytes() == reference_bilinear(self.FRAME, ys, xs).tobytes()
         assert got.tobytes() == self.FRAME.tobytes()
 
+    def test_uint8_image_equals_float32_copy(self):
+        frame = self.FRAME.astype(np.uint8)
+        crop = frame[:99, :99]
+        ys = np.linspace(2.0, 119.0, 99)[:, None]
+        xs = np.linspace(3.5, 150.2, 99)[None, :]
+        params = data.AugmentParams(True, -14.0, 0.08, -0.1, 7.0, 0.92)
+        for got, want in [
+                (data._bilinear(frame, ys, xs),
+                 data._bilinear(frame.astype(np.float32), ys, xs)),
+                (data.augment(crop, params),
+                 data.augment(crop.astype(np.float32), params)),
+                (data.bilinear_resize(crop, 99, 99),
+                 data.bilinear_resize(crop.astype(np.float32), 99, 99))]:
+            assert got.dtype == want.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("params", [
         data.AugmentParams(True, 0.0, 0.0, 0.0, 0.0, 1.0),
         data.AugmentParams(False, 12.5, 0.0, 0.0, 0.0, 1.0),
@@ -443,6 +462,13 @@ class TestPPM:
         assert path.read_bytes() == (f"P6\n{image.shape[1]} 2\n255\n".encode()
                                      + want.astype(np.uint8).tobytes())
 
+    def test_load_image_is_uint8(self, tmp_path):
+        img = np.random.default_rng(2).integers(0, 256, (5, 7, 3))
+        path = tmp_path / "u.ppm"
+        data.write_ppm(path, img)
+        got = data.load_image(path)
+        assert got.dtype == np.uint8 and np.array_equal(got, img)
+
     def test_header_with_comment(self, tmp_path):
         path = tmp_path / "c.ppm"
         path.write_bytes(b"P6\n# a comment\n2 1\n255\n" + bytes(6))
@@ -504,9 +530,10 @@ class TestPrepareDataset:
             assert data.load_image(s.path).shape == (99, 99, 3)
 
     def test_holds_one_frame_at_a_time(self, tmp_path, monkeypatch):
-        # three frames with ten pedestrians each, five of every class (a
-        # class needs five for a val sample); annotation ids alternate
-        # between the frames, so id order revisits every frame ten times
+        # each of two workers holds one frame at a time. Three frames with
+        # ten pedestrians each, five of every class (a class needs five for
+        # a val sample); annotation ids alternate between the frames, so id
+        # order revisits every frame ten times
         frames = tmp_path / "frames"
         frames.mkdir()
         rng = np.random.default_rng(0)
@@ -524,17 +551,21 @@ class TestPrepareDataset:
 
         real_load = data.load_image
         alive = []
+        lock = threading.Lock()
 
         def load_image(path):
             if os.path.dirname(str(path)) == str(frames):
-                gc.collect()
-                assert all(ref() is None for ref in alive), \
-                    f"an earlier frame is still held when loading {path}"
-                image = real_load(path)
-                alive.append(weakref.ref(image))
+                with lock:
+                    gc.collect()
+                    held = sum(ref() is not None for ref in alive)
+                    assert held < 2, \
+                        f"{held} earlier frames are held when loading {path}"
+                    image = real_load(path)
+                    alive.append(weakref.ref(image))
                 return image
             return real_load(path)
 
+        monkeypatch.setattr(data.os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(data, "load_image", load_image)
         work = tmp_path / "work"
         manifest = data.prepare_dataset(str(ann), str(frames), str(work),
@@ -542,3 +573,43 @@ class TestPrepareDataset:
         assert len(alive) == 3
         assert sorted(s.source_id for s in manifest.samples) == \
             list(range(1, 31))
+
+    def test_same_bytes_for_any_cpu_count(self, tmp_path, monkeypatch):
+        ann, frames = make_synthetic_corpus(
+            str(tmp_path), [8, 6, 6, 5, 5, 4])
+        work = tmp_path / "work"
+        trees = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(data.os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)))
+            data.prepare_dataset(ann, frames, str(work), target=6, seed=0)
+            trees.append({path.relative_to(work): path.read_bytes()
+                          for path in work.rglob("*") if path.is_file()})
+            shutil.rmtree(work)
+        assert trees[0] == trees[1]
+        assert {path.parts[0] for path in trees[0]} == \
+            {"crops", "augmented", "manifest.tsv"}
+
+    def test_first_error_in_frame_order(self, tmp_path, monkeypatch):
+        # annotation k+1 is in frame f<k % 3>: of the two boxes outside
+        # their frame, annotation 29 (f1) comes before annotation 3 (f2)
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        images, anns = [], []
+        for f in range(3):
+            data.write_ppm(frames / f"f{f}.ppm", np.zeros((40, 200, 3)))
+            images.append({"id": f, "file_name": f"f{f}.ppm"})
+        for k in range(30):
+            x = 500 if k + 1 in (3, 29) else 30 * (k // 5)
+            anns.append({"id": k + 1, "image_id": k % 3,
+                         "category_id": k // 5, "bbox": [x, 5, 20, 30]})
+        ann = tmp_path / "ann.json"
+        ann.write_text(coco_doc(anns, images=images))
+        monkeypatch.setattr(data.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2, 3})
+        threads = threading.active_count()
+        with pytest.raises(DataError,
+                           match=f"^{re.escape(str(ann))}: annotation 29: "):
+            data.prepare_dataset(str(ann), str(frames),
+                                 str(tmp_path / "work"), target=3, seed=0)
+        assert threading.active_count() == threads

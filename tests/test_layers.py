@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -297,6 +299,51 @@ class TestConvWindows:
             want[b, i, j] = np.tensordot(win, conv.params["weight"], 3)
         want += conv.params["bias"]
         assert np.allclose(out, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("model_id", [8, 1])
+    def test_eval_column_blocks_byte_equal(self, model_id, monkeypatch):
+        """Every conv of a batch-8 eval forward gives the same bytes with one
+        image per column block, with one block for the batch, and by the
+        train path's whole column matrix."""
+        forward = L.Conv2D.forward
+        checked = []
+
+        def check(conv, x, train=False, rng=None):
+            outs = []
+            for budget in (1, 2 ** 40):
+                monkeypatch.setattr(L, "COL_BUDGET", budget)
+                outs.append(forward(conv, x))
+            outs.append(forward(conv, x, train=True))
+            conv.cache = None
+            assert all(out.dtype == np.float32
+                       and out.tobytes() == outs[0].tobytes()
+                       for out in outs), conv
+            checked.append(conv)
+            return outs[0]
+
+        model = models.build_model(models.registry_lookup(model_id), seed=0)
+        monkeypatch.setattr(L.Conv2D, "forward", check)
+        x = np.random.default_rng(0).random((8, *models.INPUT_SPEC),
+                                            np.float32)
+        model.forward(x)
+        assert len(checked) == sum(node.layer.kind == "conv2d"
+                                   for node in model.nodes)
+
+    def test_eval_columns_bounded(self):
+        """Model 8's block2_conv at batch 8 builds one image's columns at a
+        time (2.8 MB) instead of the batch's (22 MB)."""
+        model = models.build_model(models.registry_lookup(8), seed=0)
+        conv = next(node.layer for node in model.nodes
+                    if node.name == "block2_conv")
+        x = np.random.default_rng(0).random((8, 49, 49, conv.in_channels),
+                                            np.float32)
+        tracemalloc.start()
+        try:
+            conv.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6, peak
 
     def test_pointwise_conv_caches_view_of_input(self):
         conv = L.Conv2D(4, 1, in_channels=3, seed=0)

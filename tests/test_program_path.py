@@ -13,6 +13,7 @@ import ast
 import importlib.util
 import os
 import sys
+import threading
 
 from pednet import cli, data
 
@@ -55,19 +56,22 @@ def _definitions(paths):
 
 def _entered(run):
     """{(real path, first line, name)} of every code object that `run()`
-    enters; the tracer asks for call events only, never line events."""
+    enters, on its own thread or on a thread it starts; the tracer asks for
+    call events only, never line events."""
     codes = {}
 
     def tracer(frame, event, arg):
         codes[id(frame.f_code)] = frame.f_code
         return None
 
-    previous = sys.gettrace()
+    previous, previous_threads = sys.gettrace(), threading.gettrace()
     sys.settrace(tracer)
+    threading.settrace(tracer)
     try:
         run()
     finally:
         sys.settrace(previous)
+        threading.settrace(previous_threads)
     return {(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name)
             for c in codes.values()}
 
