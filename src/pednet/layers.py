@@ -2,8 +2,10 @@
 
 Every layer carries its parameters, gradient buffers, a trainable flag, and a
 forward cache used by backward. Only a train-mode forward fills the arrays a
-backward reads; an eval forward keeps none of them. Feature maps are
-(N, H, W, C) float arrays.
+backward reads; an eval forward keeps none of them. `Model` releases a cache
+as soon as nothing will read it: `_run` below the frontier, `backward` once
+the layer's backward has returned (a conv keeps its column matrix as a spare
+for its next train forward). Feature maps are (N, H, W, C) float arrays.
 """
 
 from __future__ import annotations
@@ -39,7 +41,9 @@ def _windows(xp, k, stride, writeable=False):
 
 def _col2im(cell_grads, in_shape, k, stride, pads, dtype):
     """Sum the gradients of the k*k window cells, given in row-major order
-    as (N,Ho,Wo,C) arrays, onto the (unpadded) input the windows read."""
+    as (N,Ho,Wo,C) arrays, onto the (unpadded) input the windows read. The
+    one scatter of conv and max-pool backward; each cell is added as it is
+    drawn, so `cell_grads` may yield one reused buffer."""
     n, h, w, c = in_shape
     (pt, pb), (pl, pr) = pads
     out = np.zeros((n, h + pt + pb, w + pl + pr, c), dtype)
@@ -124,6 +128,9 @@ class Conv2D(Layer):
         self.kernel = kernel
         self.in_channels = in_channels
         self.stride = stride
+        # the column matrix the last backward read, which the next train
+        # forward refills; an eval forward frees it
+        self.spare = None
 
     def forward(self, x, train=False, rng=None):
         if x.ndim != 4 or x.shape[3] != self.in_channels:
@@ -134,15 +141,23 @@ class Conv2D(Layer):
         w2 = self.params["weight"].reshape(-1, self.filters)
         bias = self.params["bias"]
         if train:
-            # backward reads the whole column matrix; a view of x for 1x1
-            # stride 1, which relies on no layer writing its input
-            col2 = col.reshape(-1, w2.shape[0])
+            # backward reads the whole column matrix: a view of x for 1x1
+            # stride 1, which relies on no layer writing its input, else a
+            # copy of the windows, made into the spare when it fits so that
+            # each step refills pages it already holds
+            spare, self.spare = self.spare, None
+            if (spare is not None and spare.size == col.size
+                    and spare.dtype == col.dtype):
+                np.copyto(spare.reshape(col.shape), col)
+                col2 = spare
+            else:
+                col2 = col.reshape(-1, w2.shape[0])
             self.cache = (col2, x.shape, pads)
             y = col2 @ w2 + bias
             return y.reshape(*col.shape[:3], self.filters)
         # eval: the columns and GEMM of a block of whole images at a time,
         # so that the columns in memory fit COL_BUDGET (or are one image's)
-        self.cache = None
+        self.cache = self.spare = None
         y = np.empty((*col.shape[:3], self.filters),
                      np.result_type(x, w2, bias))
         image_bytes = col[0].size * col.itemsize
@@ -157,24 +172,30 @@ class Conv2D(Layer):
     def backward(self, upstream, input_grad=True):
         self._require_cache()
         col2, in_shape, pads = self.cache
-        w2 = self.params["weight"].reshape(-1, self.filters)
+        weight = self.params["weight"]
         g2 = upstream.reshape(-1, self.filters)
-        self.grads["weight"] += (col2.T @ g2).reshape(self.params["weight"].shape)
+        self.grads["weight"] += (col2.T @ g2).reshape(weight.shape)
         self.grads["bias"] += _channel_sum(upstream)
+        k = self.kernel
+        pointwise = k == 1 and self.stride == 1
+        if not pointwise:  # a view of x is no spare
+            self.spare = col2
         if not input_grad:
             return None
-        dcol = g2 @ w2.T
-        if self.kernel == 1 and self.stride == 1:
-            # the column gradient is the input gradient; + 0 turns -0.0 into
-            # +0.0 as _col2im's sum onto zeros does
-            dcol += 0
-            return dcol.reshape(in_shape)
-        # the columns of dcol run over (i, j, c), so iterating the moved
-        # axis gives the cells in row-major order
-        cells = np.moveaxis(dcol.reshape(*upstream.shape[:3], -1,
-                                         self.in_channels), 3, 0)
-        return _col2im(cells, in_shape, self.kernel, self.stride, pads,
-                       dcol.dtype)
+        if pointwise:
+            # the one cell's gradient is the input gradient; + 0 turns -0.0
+            # into +0.0 as _col2im's sum onto zeros does
+            dx = g2 @ weight[0, 0].T
+            dx += 0
+            return dx.reshape(in_shape)
+        # cell (i, j)'s gradient is g2 @ weight[i, j].T, built into one
+        # reused buffer just before _col2im adds it on
+        tmp = np.empty((len(g2), self.in_channels),
+                       np.result_type(upstream, weight))
+        cells = (np.matmul(g2, weight[i, j].T, out=tmp).reshape(
+                     *upstream.shape[:3], self.in_channels)
+                 for i in range(k) for j in range(k))
+        return _col2im(cells, in_shape, k, self.stride, pads, tmp.dtype)
 
 
 class BatchNorm(Layer):

@@ -148,7 +148,9 @@ class Model:
         `grads` are written. That node, the frontier, is told not to compute
         its input gradient, which nothing reads: training never computes the
         gradient of the model input. Each node's upstream gradient is
-        dropped once its layer has consumed it.
+        dropped once its layer has consumed it, and its layer's cache once
+        its backward has returned, so a second call needs a new forward.
+        The softmax is not walked and keeps its cache: `logits` still reads.
         """
         last = self.nodes[-1]
         if last.layer.kind != "softmax":
@@ -163,8 +165,10 @@ class Model:
             node = self.nodes[idx]
             if idx == lowest:  # nothing reads the frontier's input gradient
                 node.layer.backward(g, input_grad=False)
+                node.layer.cache = None
                 break
             down = node.layer.backward(g)
+            node.layer.cache = None
             if not isinstance(down, tuple):
                 down = (down,)
             for i, gi in zip(node.inputs, down):

@@ -367,6 +367,110 @@ class TestConvWindows:
         assert dx.tobytes() == want.tobytes()  # the sign of zeros too
 
 
+def column_input_grad(conv, upstream):
+    """Reference conv input gradient: the full column gradient g2 @ w2.T,
+    whose columns run over (i, j, c), scattered cell by cell by _col2im."""
+    _, in_shape, pads = conv.cache
+    w2 = conv.params["weight"].reshape(-1, conv.filters)
+    dcol = upstream.reshape(-1, conv.filters) @ w2.T
+    cells = np.moveaxis(dcol.reshape(*upstream.shape[:3], -1,
+                                     conv.in_channels), 3, 0)
+    return L._col2im(cells, in_shape, conv.kernel, conv.stride, pads,
+                     dcol.dtype)
+
+
+class TestConvInputGradient:
+    @pytest.mark.parametrize("model_id", [8, 1])
+    def test_cell_by_cell_byte_equal_to_columns(self, model_id, monkeypatch):
+        """Every input-gradient conv of a batch-8 train step gives the bytes
+        of the full column gradient's scatter, in float32."""
+        backward = L.Conv2D.backward
+        checked = []
+
+        def check(conv, upstream, input_grad=True):
+            want = column_input_grad(conv, upstream) if input_grad else None
+            dx = backward(conv, upstream, input_grad)
+            if input_grad:
+                assert dx.dtype == np.float32, conv
+                assert dx.tobytes() == want.tobytes(), conv
+                checked.append(conv)
+            return dx
+
+        model = models.build_model(models.registry_lookup(model_id), seed=0)
+        for node in model.nodes:  # model 1 builds with a frozen backbone
+            node.layer.trainable = True
+        monkeypatch.setattr(L.Conv2D, "backward", check)
+        rng = np.random.default_rng(0)
+        x = rng.random((8, *models.INPUT_SPEC), np.float32)
+        probs = model.forward(x, train=True, rng=rng)
+        model.backward(rng.standard_normal(probs.shape).astype(np.float32))
+        # every conv but the frontier (the first node) scatters
+        assert len(checked) == sum(node.layer.kind == "conv2d"
+                                   for node in model.nodes) - 1
+
+    # the geometries that compute an input gradient in the registry models;
+    # ResNet's 7x7 stem is node 0, which never does
+    @pytest.mark.parametrize("kernel,stride", [(3, 1), (1, 2), (1, 1)])
+    def test_float64_shadow_byte_equal_to_columns(self, kernel, stride):
+        conv = L.Conv2D(5, kernel, in_channels=4, stride=stride, seed=2,
+                        dtype=np.float64)
+        rng = np.random.default_rng(3)
+        y = conv.forward(rng.standard_normal((2, 9, 8, 4)), train=True)
+        upstream = rng.standard_normal(y.shape)
+        upstream[0, 0, 0] = -0.0
+        want = column_input_grad(conv, upstream)
+        dx = conv.backward(upstream)
+        assert dx.dtype == np.float64
+        assert dx.tobytes() == want.tobytes()
+
+    def test_train_forward_refills_spare(self):
+        """The next train forward builds its columns in the matrix the last
+        backward read, with the bytes a fresh matrix gets."""
+        rng = np.random.default_rng(4)
+        conv, fresh = (L.Conv2D(4, 3, in_channels=3, seed=1)
+                       for _ in range(2))
+        x = rng.random((2, 7, 7, 3), np.float32)
+        conv.backward(rng.standard_normal(
+            conv.forward(x, train=True).shape).astype(np.float32))
+        spare = conv.spare
+        assert spare is conv.cache[0]
+        for batch in (x[::-1], rng.random((3, 7, 7, 3), np.float32)):
+            y = conv.forward(batch, train=True)
+            assert (conv.cache[0] is spare) == (len(batch) == len(x))
+            assert conv.spare is None
+            assert y.tobytes() == fresh.forward(batch, train=True).tobytes()
+            assert conv.cache[0].tobytes() == fresh.cache[0].tobytes()
+            conv.backward(np.ones_like(y))
+        assert conv.spare is not None
+        conv.forward(x)  # an eval forward frees it
+        assert conv.spare is None
+
+    def test_pointwise_conv_keeps_no_spare(self):
+        conv = L.Conv2D(4, 1, in_channels=3, seed=0)
+        y = conv.forward(np.ones((2, 5, 5, 3), np.float32), train=True)
+        conv.backward(np.ones_like(y))
+        assert conv.spare is None  # its columns are a view of its input
+
+    def test_train_backward_memory_bounded(self):
+        """Model 8's block2_conv at batch 8 holds one cell's gradient (2.5
+        MB) and the padded input gradient at a time, not the full 22 MB
+        column gradient."""
+        model = models.build_model(models.registry_lookup(8), seed=0)
+        conv = next(node.layer for node in model.nodes
+                    if node.name == "block2_conv")
+        rng = np.random.default_rng(0)
+        x = rng.random((8, 49, 49, conv.in_channels), np.float32)
+        upstream = rng.standard_normal(
+            conv.forward(x, train=True).shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            conv.backward(upstream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
+
+
 class TestGradients:
     def test_conv2d(self):
         conv = L.Conv2D(3, 3, in_channels=2, stride=1, seed=1,

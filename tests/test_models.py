@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pednet import layers, models, optim
-from pednet.errors import ConfigError
+from pednet.errors import ConfigError, StateError
 from pednet.data import one_hot
 from pednet.train import cross_entropy_loss
 
@@ -261,6 +261,32 @@ class TestBackward:
                               != before[node.name]), node.name
         model.zero_grads()
         model.backward(g)
+
+    @pytest.mark.parametrize("case", CASES + ["custom-all-trainable"])
+    def test_backward_releases_each_cache_it_consumed(self, case):
+        if case == "custom-all-trainable":
+            model = models.build_model(models.registry_lookup(8), seed=0)
+        else:
+            model, _ = _phase_model(case)
+        calls = _spy(model)
+        g = _forward_loss_grad(model)
+        model.zero_grads()
+        model.backward(g)
+        walked = {idx for idx, method, _, _ in calls if method == "backward"}
+        assert walked
+        for idx in walked:
+            assert model.nodes[idx].layer.cache is None, model.nodes[idx].name
+        for idx, node in enumerate(model.nodes):
+            # a conv that backward read keeps its columns for the next
+            # forward; one below the frontier, or a 1x1 stride-1 one, none
+            if node.layer.kind == "conv2d":
+                pointwise = node.layer.kernel * node.layer.stride == 1
+                assert ((node.layer.spare is not None)
+                        == (idx in walked and not pointwise)), node.name
+        # the softmax is not walked: its logits still read
+        assert model.nodes[-1].layer.logits.shape == g.shape
+        with pytest.raises(StateError, match="backward called before"):
+            model.backward(g)
 
     @pytest.mark.parametrize("model_id,phase,frontier", [
         (8, 1, "block1_conv"), (1, 2, "stage3_block4_bn2")])
