@@ -6,6 +6,12 @@ backward reads; an eval forward keeps none of them. `Model` releases a cache
 as soon as nothing will read it: `_run` below the frontier, `backward` once
 the layer's backward has returned (a conv keeps its column matrix as a spare
 for its next train forward). Feature maps are (N, H, W, C) float arrays.
+
+A forward never writes its inputs unless `own=True` says that the caller
+hands it its first input: nothing else reads that array. BatchNorm, ReLU,
+Add (its first operand) and train-mode Dropout then make their output in
+it; every other layer ignores `own`. Flatten and eval-mode Dropout return a
+view of their input; every other output is a fresh array or the owned one.
 """
 
 from __future__ import annotations
@@ -71,23 +77,24 @@ def _channel_sum(a, b=None):
 
 
 def _first_max(arrays, index=True):
-    """Elementwise max of equal-shaped arrays and, if `index`, the uint8
-    position of the first maximum (else None): a later array takes the
-    position only where it is strictly greater. The max is the same
-    np.maximum fold either way."""
+    """Elementwise max of equal-shaped arrays, in a fresh array, and, if
+    `index`, the uint8 position of the first maximum (else None): a later
+    array takes the position only where it is strictly greater. The max is
+    the same np.maximum fold either way, into one buffer."""
     best = arrays[0]
     arg = np.zeros(best.shape, np.uint8) if index else None
     for i, a in enumerate(arrays[1:], 1):
         if index:
             later = a > best
             arg += later * (np.uint8(i) - arg)  # wraps mod 256: i where later
-        best = np.maximum(best, a)
-    return best, arg
+        # the first maximum makes the output, the later ones fold into it
+        best = np.maximum(best, a, out=None if i == 1 else best)
+    return (best.copy() if len(arrays) == 1 else best), arg
 
 
 class Layer:
     """Base: parameter registry, gradient buffers, trainable flag, cache.
-    Each kind defines forward(x, train, rng) and backward(upstream)."""
+    Each kind defines forward(x, train, rng, own) and backward(upstream)."""
 
     kind = "layer"
 
@@ -132,7 +139,7 @@ class Conv2D(Layer):
         # forward refills; an eval forward frees it
         self.spare = None
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, own=False):
         if x.ndim != 4 or x.shape[3] != self.in_channels:
             raise ShapeError(f"conv2d expects (N,H,W,{self.in_channels}), got {x.shape}")
         pads = T.pad_amounts(x.shape[1], x.shape[2], self.kernel,
@@ -142,9 +149,10 @@ class Conv2D(Layer):
         bias = self.params["bias"]
         if train:
             # backward reads the whole column matrix: a view of x for 1x1
-            # stride 1, which relies on no layer writing its input, else a
-            # copy of the windows, made into the spare when it fits so that
-            # each step refills pages it already holds
+            # stride 1, which stays intact because only an array's sole
+            # reader writes it and a conv writes nothing; else a copy of the
+            # windows, made into the spare when it fits so that each step
+            # refills pages it already holds
             spare, self.spare = self.spare, None
             if (spare is not None and spare.size == col.size
                     and spare.dtype == col.dtype):
@@ -205,7 +213,8 @@ class BatchNorm(Layer):
     caches the centred input x - mean; x-hat is never stored, since
     scale * inv_std folds into one coefficient. Eval mode normalises with
     the moving statistics and caches nothing: training backpropagates only
-    through train-mode forwards.
+    through train-mode forwards. An owned x becomes the centred input
+    (train) or the output (eval).
     """
 
     kind = "batchnorm"
@@ -220,12 +229,13 @@ class BatchNorm(Layer):
     def _inv_std(self, var, dtype):
         return 1.0 / np.sqrt(var + np.asarray(BN_EPSILON, dtype=dtype))
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, own=False):
         if x.ndim != 4 or x.shape[3] != self.channels:
             raise ShapeError(f"batchnorm expects (N,H,W,{self.channels}), got {x.shape}")
+        into = x if own else None
         if not train:
             self.cache = None
-            out = x - self.state["moving_mean"]
+            out = np.subtract(x, self.state["moving_mean"], out=into)
             out *= self.params["scale"] * self._inv_std(
                 self.state["moving_var"], x.dtype)
             out += self.params["shift"]
@@ -233,7 +243,7 @@ class BatchNorm(Layer):
         # in the data dtype: a numpy int64 count would promote float32
         count = x.dtype.type(x.size // self.channels)
         mean = _channel_sum(x) / count
-        xc = x - mean
+        xc = np.subtract(x, mean, out=into)
         var = _channel_sum(xc, xc) / count
         m = np.asarray(BN_MOMENTUM, dtype=x.dtype)
         one = np.asarray(1.0, dtype=x.dtype)
@@ -270,9 +280,9 @@ class BatchNorm(Layer):
 class ReLU(Layer):
     kind = "relu"
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, own=False):
         self.cache = x > 0 if train else None  # subgradient at 0 is 0
-        return np.maximum(x, 0)
+        return np.maximum(x, 0, out=x if own else None)
 
     def backward(self, upstream):
         self._require_cache()
@@ -286,7 +296,8 @@ class MaxPool2D(Layer):
     Cell (i, j) of every window is one strided slice of the padded input, so
     the pool compares kernel*kernel slices elementwise. Overlapping windows
     (the ResNet stem's 3x3/2) only make backward add where cells coincide.
-    An eval forward folds the same maxima without the first-max index.
+    An eval forward folds the same maxima without the first-max index. The
+    output is always a fresh array, a 1x1 pool's too.
     """
 
     kind = "maxpool2d"
@@ -297,7 +308,7 @@ class MaxPool2D(Layer):
         self.stride = stride
         self.padding = padding
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, own=False):
         if x.ndim != 4:
             raise ShapeError(f"maxpool2d expects rank-4 input, got {x.shape}")
         k, s = self.kernel, self.stride
@@ -323,7 +334,7 @@ class MaxPool2D(Layer):
 class GlobalAvgPool(Layer):
     kind = "globalavgpool"
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, own=False):
         if x.ndim != 4:
             raise ShapeError(f"globalavgpool expects rank-4 input, got {x.shape}")
         self.cache = x.shape
@@ -339,7 +350,7 @@ class GlobalAvgPool(Layer):
 class Flatten(Layer):
     kind = "flatten"
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, own=False):
         self.cache = x.shape
         return x.reshape(x.shape[0], -1)
 
@@ -357,7 +368,7 @@ class Dense(Layer):
         self.units = units
         self.in_features = in_features
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, own=False):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(f"dense expects (N,{self.in_features}), got {x.shape}")
         self.cache = x if train else None
@@ -382,7 +393,7 @@ class Dropout(Layer):
             raise ShapeError(f"dropout rate must be in [0,1), got {rate}")
         self.rate = rate
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, own=False):
         if not train:
             self.cache = None
             return x
@@ -391,7 +402,7 @@ class Dropout(Layer):
         keep = (rng.random(x.shape) >= self.rate)
         mask = keep.astype(x.dtype) / np.asarray(1.0 - self.rate, dtype=x.dtype)
         self.cache = mask
-        return x * mask
+        return np.multiply(x, mask, out=x if own else None)
 
     def backward(self, upstream):
         self._require_cache()
@@ -401,7 +412,7 @@ class Dropout(Layer):
 class Softmax(Layer):
     kind = "softmax"
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, own=False):
         z = x - x.max(axis=-1, keepdims=True)
         e = np.exp(z)
         p = e / e.sum(axis=-1, keepdims=True)
@@ -425,11 +436,11 @@ class Add(Layer):
 
     kind = "add"
 
-    def forward(self, a, b=None, train=False, rng=None):
+    def forward(self, a, b=None, train=False, rng=None, own=False):
         if b is None or a.shape != b.shape:
             raise ShapeError("add expects two equal-shaped inputs")
         self.cache = a.shape
-        return a + b
+        return np.add(a, b, out=a if own else None)
 
     def backward(self, upstream):
         self._require_cache()

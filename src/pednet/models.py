@@ -3,6 +3,12 @@
 A Model is an ordered list of named layer nodes; each node lists the indices
 of the nodes it consumes (-1 is the model input). Sequential networks are the
 trivial case; the residual adds of ResNet50 use two-input nodes.
+
+A forward hands a layer its first input to write (`own=True`) only when the
+layer is that array's sole reader and the array is free: never the model
+input, and never an output that is a view of an input its layer did not own.
+So a residual block's input, read by the block and by its shortcut, is
+never written.
 """
 
 from __future__ import annotations
@@ -78,6 +84,7 @@ class _Node:
     layer: L.Layer
     inputs: list[int]
     last_reader: int | None = None  # the last node that reads the output
+    readers: int = 0  # how many inputs of later nodes are the output
 
 
 class Model:
@@ -95,6 +102,7 @@ class Model:
         for i in inputs:
             if i >= 0:
                 self.nodes[i].last_reader = idx
+                self.nodes[i].readers += 1
         self.nodes.append(_Node(name, layer, list(inputs)))
         return idx
 
@@ -119,13 +127,19 @@ class Model:
     def _run(self, x, train, rng, check_nodes=False):
         """Run the nodes in order. In train mode a node below the frontier
         drops its backward cache as soon as its forward has run: `backward`
-        never visits it."""
+        never visits it. A node owns its first input, and may write it, when
+        it is that free array's sole reader; an output is free unless it
+        shares memory with an input its node did not own."""
         outs = [None] * len(self.nodes)
+        free = [False] * len(self.nodes)
         frontier = self._frontier() if train else 0
         for j, node in enumerate(self.nodes):
-            outs[j] = node.layer.forward(
-                *[x if i == -1 else outs[i] for i in node.inputs],
-                train=train, rng=rng)
+            args = [x if i == -1 else outs[i] for i in node.inputs]
+            first = node.inputs[0]
+            own = first >= 0 and free[first] and self.nodes[first].readers == 1
+            outs[j] = node.layer.forward(*args, train=train, rng=rng, own=own)
+            free[j] = not any(np.may_share_memory(outs[j], a)
+                              for a in (args[1:] if own else args))
             if j < frontier:
                 node.layer.cache = None
             if check_nodes:

@@ -141,7 +141,10 @@ def train(model: Model, model_config: ModelConfig, config: TrainConfig,
     if model_config.architecture == "resnet50":
         phases.append((2, config.max_epochs_phase2))
     best_loss = np.inf
-    best_snap = None
+    # the best epoch's tensors, allocated once and refilled on each
+    # improvement, so that two snapshots are never alive together
+    best_snap = {k: np.empty_like(v) for k, v in
+                 checkpoint.model_tensors(model).items()}
     epoch = 0
     for phase, max_epochs in phases:
         opt = optim.apply_phase(model_config, model, opt, phase)
@@ -179,14 +182,14 @@ def train(model: Model, model_config: ModelConfig, config: TrainConfig,
                 val_loss, val_acc, time.monotonic() - t0))
             if val_loss < best_loss:
                 best_loss = val_loss
-                best_snap = {k: v.copy() for k, v in
-                             checkpoint.model_tensors(model).items()}
+                for k, v in checkpoint.model_tensors(model).items():
+                    np.copyto(best_snap[k], v)
                 history.best_epoch = epoch
             if stopper.update(val_loss):
                 reason = "early_stop"
                 break
         history.stop_reasons.append(reason)
-    if best_snap is not None:
+    if history.best_epoch > 0:
         checkpoint.assign_tensors(model, best_snap)
     history.optimizer = opt
     return history

@@ -279,6 +279,15 @@ class TestMaxPoolSlices:
         assert eval_out.dtype == dtype
         assert eval_out.tobytes() == train_out.tobytes()
 
+    @pytest.mark.parametrize("padding", [T.SAME_CEIL, T.VALID_FLOOR])
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_one_cell_pool_output_is_fresh(self, padding, train):
+        """A 1x1 pool's one slice is its input; its output is a copy."""
+        x = np.random.default_rng(0).random((2, 5, 4, 3), np.float32)
+        out = L.MaxPool2D(1, 1, padding).forward(x, train=train)
+        assert not np.may_share_memory(out, x)
+        assert out.tobytes() == x.tobytes()
+
 
 class TestConvWindows:
     @pytest.mark.parametrize("kernel,stride,padding", [
@@ -308,7 +317,7 @@ class TestConvWindows:
         forward = L.Conv2D.forward
         checked = []
 
-        def check(conv, x, train=False, rng=None):
+        def check(conv, x, train=False, rng=None, own=False):
             outs = []
             for budget in (1, 2 ** 40):
                 monkeypatch.setattr(L, "COL_BUDGET", budget)
@@ -469,6 +478,23 @@ class TestConvInputGradient:
         finally:
             tracemalloc.stop()
         assert peak < 8e6, peak
+
+
+class TestForwardMemory:
+    def test_eval_forward_memory_bounded(self):
+        """Model 8's batch-8 eval forward peaks at about 14 MB: batch norm
+        and relu write the conv output they alone read (20 MB when every
+        layer allocated its output)."""
+        model = models.build_model(models.registry_lookup(8), seed=0)
+        x = np.random.default_rng(0).random((8, *models.INPUT_SPEC),
+                                            np.float32)
+        tracemalloc.start()
+        try:
+            model.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak
 
 
 class TestGradients:

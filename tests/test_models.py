@@ -158,11 +158,12 @@ class TestBuildProperties:
 
 def _phase_model(case):
     """(model, optimizer) with the trainable flags of one training setup."""
-    if case == "custom-frozen-prefix":
+    if case.startswith("custom"):
         cfg = models.registry_lookup(8)
         model = models.build_model(cfg, seed=0)
-        for node in model.nodes[:4]:  # block 1
-            node.layer.trainable = False
+        if case == "custom-frozen-prefix":
+            for node in model.nodes[:4]:  # block 1
+                node.layer.trainable = False
         return model, optim.make_optimizer(cfg)
     cfg = models.registry_lookup(1)
     model = models.build_model(cfg, seed=0)
@@ -413,3 +414,130 @@ class TestLiveness:
         model.forward(x, train=train, rng=np.random.default_rng(1))
         assert len(set(checked)) == len(model.nodes) - 2  # all but the last two
         assert not late, late[:5]
+
+
+def _private_inputs(model):
+    """Give every layer a private copy of each input, and never ownership:
+    the reference in which no layer's write can reach another layer."""
+    for node in model.nodes:
+        def forward(*args, _fn=node.layer.forward, **kwargs):
+            kwargs["own"] = False
+            return _fn(*[a.copy() for a in args], **kwargs)
+        node.layer.forward = forward
+
+
+class TestOwnership:
+    """A layer writes an input only when it is that array's sole reader and
+    no other layer returned it as a view of an input it did not own."""
+
+    # model 8 with every layer trainable, model 1 in each phase
+    CASES = ["custom", "resnet-phase1", "resnet-phase2"]
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_read_only_batch(self, case, train):
+        model, _ = _phase_model(case)
+        x = np.random.default_rng(0).random((2, *models.INPUT_SPEC),
+                                            np.float32)
+        before = x.tobytes()
+        x.setflags(write=False)
+        probs = model.forward(x, train=train, rng=np.random.default_rng(0))
+        assert probs.shape == (2, models.NUM_CLASSES)
+        assert x.tobytes() == before
+
+    @pytest.mark.parametrize("case", ["custom", "resnet-phase2"])
+    def test_bit_equal_to_private_inputs(self, case):
+        """Train probabilities, every gradient, parameter and statistic
+        after one step, and the eval probabilities after it."""
+        (model, opt), (ref, ref_opt) = _phase_model(case), _phase_model(case)
+        _private_inputs(ref)
+        for m, o in ((model, opt), (ref, ref_opt)):
+            g = _forward_loss_grad(m, seed=3)
+            m.zero_grads()
+            m.backward(g)
+            o.step(m)
+        x = np.random.default_rng(4).random((2, *models.INPUT_SPEC),
+                                            np.float32)
+        assert model.forward(x).tobytes() == ref.forward(x).tobytes()
+        for node, rnode in zip(model.nodes, ref.nodes):
+            for k in node.layer.params:
+                for got, want in ((node.layer.grads, rnode.layer.grads),
+                                  (node.layer.params, rnode.layer.params)):
+                    assert got[k].tobytes() == want[k].tobytes(), \
+                        (node.name, k)
+            for k in node.layer.state:
+                assert node.layer.state[k].tobytes() == \
+                    rnode.layer.state[k].tobytes(), (node.name, k)
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_block_input_unchanged_by_its_block(self, train):
+        """A residual block's input feeds its first conv and its shortcut;
+        the add that ends the block still reads the bytes it was made
+        with."""
+        model, _ = _phase_model("resnet-phase2")
+        made, checked = {}, []
+
+        def spy(*args, _fn, _j, **kwargs):
+            src = model.nodes[_j].inputs[-1]
+            if model.nodes[_j].layer.kind == "add" and src in made:
+                b = args[1]
+                assert b is made[src][0]
+                assert b.tobytes() == made[src][1], model.nodes[_j].name
+                checked.append(_j)
+            out = _fn(*args, **kwargs)
+            if model.nodes[_j].readers > 1:
+                made[_j] = out, out.tobytes()
+            return out
+
+        for j, node in enumerate(model.nodes):
+            node.layer.forward = functools.partial(spy, _fn=node.layer.forward,
+                                                   _j=j)
+        x = np.random.default_rng(2).random((2, *models.INPUT_SPEC),
+                                            np.float32)
+        model.forward(x, train=train, rng=np.random.default_rng(2))
+        # the identity-shortcut blocks: 16 blocks, 4 with a projection
+        assert len(checked) == 12
+
+    @pytest.mark.parametrize("case", ["model-input", "view-of-input",
+                                      "two-readers"])
+    def test_relu_never_writes_a_shared_array(self, case):
+        """A relu that reads the model input, a view of it (eval dropout),
+        or an array another node reads too gives the bytes of a relu with
+        a private copy."""
+        def build():
+            m = models.Model("GAP")
+            if case == "model-input":
+                m.add("relu", layers.ReLU(), [-1])
+            elif case == "view-of-input":
+                m.add("drop", layers.Dropout(0.3), [-1])
+                m.add("relu", layers.ReLU())
+            else:  # relu and add both read the conv output first
+                conv = m.add("conv", layers.Conv2D(3, 1, 3, seed=0), [-1])
+                relu = m.add("relu", layers.ReLU(), [conv])
+                m.add("add", layers.Add(), [conv, relu])
+            m.add("gap", layers.GlobalAvgPool())
+            m.add("dense", layers.Dense(models.NUM_CLASSES, 3, seed=1))
+            m.add("softmax", layers.Softmax())
+            return m
+
+        model, ref = build(), build()
+        _private_inputs(ref)
+        x = np.random.default_rng(0).random((2, *models.INPUT_SPEC),
+                                            np.float32) - 0.5
+        x.setflags(write=False)
+        assert model.forward(x).tobytes() == ref.forward(x).tobytes()
+
+    def test_sole_reader_writes_in_place(self):
+        """In model 8 batch norm writes the conv output and relu the batch
+        norm output; a max-pool's output is always fresh."""
+        model = models.build_model(models.registry_lookup(8), seed=0)
+        calls = _spy(model)
+        x = np.random.default_rng(0).random((2, *models.INPUT_SPEC),
+                                            np.float32)
+        model.forward(x)
+        outs = {model.nodes[j].name: out for j, _, _, out in calls}
+        for b in range(1, 5):
+            assert outs[f"block{b}_bn"] is outs[f"block{b}_conv"]
+            assert outs[f"block{b}_relu"] is outs[f"block{b}_conv"]
+            assert not np.may_share_memory(outs[f"block{b}_pool"],
+                                           outs[f"block{b}_relu"])

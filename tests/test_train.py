@@ -145,6 +145,31 @@ class TestEarlyStopping:
         loss, _ = engine.evaluate_arrays(model, x, y)
         assert loss <= best + 1e-6
 
+    # the tensors kept are those of epoch `best`, else of the last epoch
+    @pytest.mark.parametrize("val_losses,best,kept", [
+        ([0.5, 0.4, 0.9, 1.0], 2, 1), ([np.nan] * 3, -1, -1)])
+    def test_restores_best_epoch_tensors(self, monkeypatch, val_losses,
+                                         best, kept):
+        """The model ends with the exact tensors of its best epoch, or of
+        its last epoch when no validation loss was ever finite."""
+        cfg = models.registry_lookup(8)
+        model = models.build_model(cfg, seed=2)
+        x, y, _ = synthetic_arrays(per_class=1, seed=5)
+        losses, seen = iter(val_losses), []
+
+        def scripted(*args):
+            seen.append({k: v.tobytes() for k, v in
+                         ckpt.model_tensors(model).items()})
+            return next(losses), 0.0
+
+        monkeypatch.setattr(engine, "evaluate_arrays", scripted)
+        tc = TrainConfig(seed=2, max_epochs_phase1=len(val_losses),
+                         patience=10)
+        history = engine.train(model, cfg, tc, x, y, x, y)
+        assert history.best_epoch == best
+        assert {k: v.tobytes() for k, v in
+                ckpt.model_tensors(model).items()} == seen[kept]
+
     def test_single_step_decreases_loss(self):
         from pednet import optim
 
