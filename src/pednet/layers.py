@@ -4,8 +4,10 @@ Every layer carries its parameters, gradient buffers, a trainable flag, and a
 forward cache used by backward. Only a train-mode forward fills the arrays a
 backward reads; an eval forward keeps none of them. `Model` releases a cache
 as soon as nothing will read it: `_run` below the frontier, `backward` once
-the layer's backward has returned (a conv keeps its column matrix as a spare
-for its next train forward). Feature maps are (N, H, W, C) float arrays.
+the layer's backward has returned. A conv caches its padded input, not its
+column matrix; its backward rebuilds the columns in one workspace per dtype,
+which every conv shares and the process keeps. Feature maps are (N, H, W, C)
+float arrays.
 
 A forward never writes its inputs unless `own=True` says that the caller
 hands it its first input: nothing else reads that array. BatchNorm, ReLU,
@@ -25,8 +27,11 @@ from .errors import ShapeError, StateError
 # Keras BatchNormalization defaults, which the paper's models train with
 BN_MOMENTUM = 0.99
 BN_EPSILON = 1e-3
-# bytes of im2col columns an eval conv builds at a time (whole images)
+# bytes of im2col columns a conv forward builds at a time (whole images)
 COL_BUDGET = 4 * 2 ** 20
+# one flat scratch array per dtype that every conv backward rebuilds its
+# column matrix in, grown to the largest request and kept for the process
+_WORKSPACE: dict[np.dtype, np.ndarray] = {}
 
 
 def _pad(x, pads, value):
@@ -43,6 +48,17 @@ def _windows(xp, k, stride, writeable=False):
     map at `stride`; no copy."""
     win = sliding_window_view(xp, (k, k), axis=(1, 2), writeable=writeable)
     return win[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
+
+
+def _in_workspace(a):
+    """A copy of `a` in the shared workspace of its dtype, which grows only
+    for a larger request (dropping the smaller array first)."""
+    if a.dtype not in _WORKSPACE or _WORKSPACE[a.dtype].size < a.size:
+        _WORKSPACE.pop(a.dtype, None)
+        _WORKSPACE[a.dtype] = np.empty(a.size, a.dtype)
+    out = _WORKSPACE[a.dtype][:a.size].reshape(a.shape)
+    np.copyto(out, a)
+    return out
 
 
 def _col2im(cell_grads, in_shape, k, stride, pads, dtype):
@@ -135,37 +151,22 @@ class Conv2D(Layer):
         self.kernel = kernel
         self.in_channels = in_channels
         self.stride = stride
-        # the column matrix the last backward read, which the next train
-        # forward refills; an eval forward frees it
-        self.spare = None
 
     def forward(self, x, train=False, rng=None, own=False):
         if x.ndim != 4 or x.shape[3] != self.in_channels:
             raise ShapeError(f"conv2d expects (N,H,W,{self.in_channels}), got {x.shape}")
         pads = T.pad_amounts(x.shape[1], x.shape[2], self.kernel,
                              self.stride, T.SAME_CEIL)
-        col = _windows(_pad(x, pads, 0.0), self.kernel, self.stride)
+        xp = _pad(x, pads, 0.0)
+        # backward rebuilds the columns from the padded input: x itself when
+        # nothing is padded, which stays intact because only an array's sole
+        # reader writes it and a conv writes nothing
+        self.cache = (xp, x.shape, pads) if train else None
+        col = _windows(xp, self.kernel, self.stride)
         w2 = self.params["weight"].reshape(-1, self.filters)
         bias = self.params["bias"]
-        if train:
-            # backward reads the whole column matrix: a view of x for 1x1
-            # stride 1, which stays intact because only an array's sole
-            # reader writes it and a conv writes nothing; else a copy of the
-            # windows, made into the spare when it fits so that each step
-            # refills pages it already holds
-            spare, self.spare = self.spare, None
-            if (spare is not None and spare.size == col.size
-                    and spare.dtype == col.dtype):
-                np.copyto(spare.reshape(col.shape), col)
-                col2 = spare
-            else:
-                col2 = col.reshape(-1, w2.shape[0])
-            self.cache = (col2, x.shape, pads)
-            y = col2 @ w2 + bias
-            return y.reshape(*col.shape[:3], self.filters)
-        # eval: the columns and GEMM of a block of whole images at a time,
-        # so that the columns in memory fit COL_BUDGET (or are one image's)
-        self.cache = self.spare = None
+        # the columns and GEMM of a block of whole images at a time, so that
+        # the columns in memory fit COL_BUDGET (or are one image's)
         y = np.empty((*col.shape[:3], self.filters),
                      np.result_type(x, w2, bias))
         image_bytes = col[0].size * col.itemsize
@@ -179,15 +180,17 @@ class Conv2D(Layer):
 
     def backward(self, upstream, input_grad=True):
         self._require_cache()
-        col2, in_shape, pads = self.cache
+        xp, in_shape, pads = self.cache
         weight = self.params["weight"]
-        g2 = upstream.reshape(-1, self.filters)
-        self.grads["weight"] += (col2.T @ g2).reshape(weight.shape)
-        self.grads["bias"] += _channel_sum(upstream)
         k = self.kernel
         pointwise = k == 1 and self.stride == 1
-        if not pointwise:  # a view of x is no spare
-            self.spare = col2
+        g2 = upstream.reshape(-1, self.filters)
+        # the column matrix: the input itself for 1x1 stride 1, else its
+        # windows copied into the workspace
+        col = xp if pointwise else _in_workspace(_windows(xp, k, self.stride))
+        col2 = col.reshape(len(g2), -1)
+        self.grads["weight"] += (col2.T @ g2).reshape(weight.shape)
+        self.grads["bias"] += _channel_sum(upstream)
         if not input_grad:
             return None
         if pointwise:
@@ -214,7 +217,8 @@ class BatchNorm(Layer):
     scale * inv_std folds into one coefficient. Eval mode normalises with
     the moving statistics and caches nothing: training backpropagates only
     through train-mode forwards. An owned x becomes the centred input
-    (train) or the output (eval).
+    (train) or the output (eval), and backward builds dx in that centred
+    input, so one forward's cache serves one backward.
     """
 
     kind = "batchnorm"
@@ -268,9 +272,10 @@ class BatchNorm(Layer):
         if not input_grad:
             return None
         count = xc.dtype.type(xc.size // self.channels)
-        # the batch-statistics derivative in one buffer:
+        # the batch-statistics derivative in the consumed cache, which only
+        # this layer holds (an owned input or its own array):
         # dx = coef * (up - sum(up) / m - xhat * sum(up * xhat) / m)
-        dx = xc * (inv_std * dscale / count)
+        dx = np.multiply(xc, inv_std * dscale / count, out=xc)
         np.subtract(upstream, dx, out=dx)
         dx -= dshift / count
         dx *= self.params["scale"] * inv_std

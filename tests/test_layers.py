@@ -5,7 +5,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from pednet import layers as L
-from pednet import models
+from pednet import models, optim
 from pednet import tensor as T
 from pednet.errors import ShapeError, StateError
 
@@ -311,9 +311,9 @@ class TestConvWindows:
 
     @pytest.mark.parametrize("model_id", [8, 1])
     def test_eval_column_blocks_byte_equal(self, model_id, monkeypatch):
-        """Every conv of a batch-8 eval forward gives the same bytes with one
-        image per column block, with one block for the batch, and by the
-        train path's whole column matrix."""
+        """Every conv of a batch-8 forward gives the same bytes with one
+        image per column block, with one block for the batch, in train
+        mode, and as the whole-column product col @ w2 + bias."""
         forward = L.Conv2D.forward
         checked = []
 
@@ -323,6 +323,8 @@ class TestConvWindows:
                 monkeypatch.setattr(L, "COL_BUDGET", budget)
                 outs.append(forward(conv, x))
             outs.append(forward(conv, x, train=True))
+            outs.append(whole_columns(conv) @ conv.params["weight"].reshape(
+                -1, conv.filters) + conv.params["bias"])
             conv.cache = None
             assert all(out.dtype == np.float32
                        and out.tobytes() == outs[0].tobytes()
@@ -376,6 +378,28 @@ class TestConvWindows:
         assert dx.tobytes() == want.tobytes()  # the sign of zeros too
 
 
+def whole_columns(conv):
+    """The conv's whole (N*Ho*Wo, k*k*C_in) column matrix, rebuilt from its
+    train cache by a strided window view of its own."""
+    xp = conv.cache[0]
+    k, s = conv.kernel, conv.stride
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * xp.shape[3])
+
+
+def column_count(conv, y):
+    """The number of values in the column matrix of the conv's output y."""
+    return y.size // conv.filters * conv.kernel ** 2 * conv.in_channels
+
+
+def column_weight_grad(conv, upstream):
+    """Reference weight gradient: the whole-column product col.T @ g2,
+    added onto the gradient buffer as backward adds it."""
+    g2 = upstream.reshape(-1, conv.filters)
+    return conv.grads["weight"] + (whole_columns(conv).T @ g2).reshape(
+        conv.params["weight"].shape)
+
+
 def column_input_grad(conv, upstream):
     """Reference conv input gradient: the full column gradient g2 @ w2.T,
     whose columns run over (i, j, c), scattered cell by cell by _col2im."""
@@ -391,14 +415,19 @@ def column_input_grad(conv, upstream):
 class TestConvInputGradient:
     @pytest.mark.parametrize("model_id", [8, 1])
     def test_cell_by_cell_byte_equal_to_columns(self, model_id, monkeypatch):
-        """Every input-gradient conv of a batch-8 train step gives the bytes
-        of the full column gradient's scatter, in float32."""
+        """Every conv of a batch-8 train step gives the weight gradient
+        bytes of the whole-column product and, unless it is the frontier,
+        the input gradient bytes of the full column gradient's scatter, in
+        float32."""
         backward = L.Conv2D.backward
-        checked = []
+        checked, weights = [], []
 
         def check(conv, upstream, input_grad=True):
+            want_w = column_weight_grad(conv, upstream)
             want = column_input_grad(conv, upstream) if input_grad else None
             dx = backward(conv, upstream, input_grad)
+            assert conv.grads["weight"].tobytes() == want_w.tobytes(), conv
+            weights.append(conv)
             if input_grad:
                 assert dx.dtype == np.float32, conv
                 assert dx.tobytes() == want.tobytes(), conv
@@ -413,13 +442,15 @@ class TestConvInputGradient:
         x = rng.random((8, *models.INPUT_SPEC), np.float32)
         probs = model.forward(x, train=True, rng=rng)
         model.backward(rng.standard_normal(probs.shape).astype(np.float32))
+        convs = sum(node.layer.kind == "conv2d" for node in model.nodes)
+        assert len(weights) == convs
         # every conv but the frontier (the first node) scatters
-        assert len(checked) == sum(node.layer.kind == "conv2d"
-                                   for node in model.nodes) - 1
+        assert len(checked) == convs - 1
 
-    # the geometries that compute an input gradient in the registry models;
-    # ResNet's 7x7 stem is node 0, which never does
-    @pytest.mark.parametrize("kernel,stride", [(3, 1), (1, 2), (1, 1)])
+    # the geometries of the registry models; ResNet's 7x7 stem is node 0,
+    # which computes no input gradient
+    @pytest.mark.parametrize("kernel,stride", [(3, 1), (1, 2), (1, 1),
+                                               (7, 2)])
     def test_float64_shadow_byte_equal_to_columns(self, kernel, stride):
         conv = L.Conv2D(5, kernel, in_channels=4, stride=stride, seed=2,
                         dtype=np.float64)
@@ -427,43 +458,97 @@ class TestConvInputGradient:
         y = conv.forward(rng.standard_normal((2, 9, 8, 4)), train=True)
         upstream = rng.standard_normal(y.shape)
         upstream[0, 0, 0] = -0.0
-        want = column_input_grad(conv, upstream)
-        dx = conv.backward(upstream)
-        assert dx.dtype == np.float64
-        assert dx.tobytes() == want.tobytes()
+        want_w = column_weight_grad(conv, upstream)
+        input_grad = kernel != 7
+        want = column_input_grad(conv, upstream) if input_grad else None
+        dx = conv.backward(upstream, input_grad)
+        assert conv.grads["weight"].dtype == np.float64
+        assert conv.grads["weight"].tobytes() == want_w.tobytes()
+        if input_grad:
+            assert dx.dtype == np.float64
+            assert dx.tobytes() == want.tobytes()
 
-    def test_train_forward_refills_spare(self):
-        """The next train forward builds its columns in the matrix the last
-        backward read, with the bytes a fresh matrix gets."""
-        rng = np.random.default_rng(4)
-        conv, fresh = (L.Conv2D(4, 3, in_channels=3, seed=1)
-                       for _ in range(2))
-        x = rng.random((2, 7, 7, 3), np.float32)
-        conv.backward(rng.standard_normal(
-            conv.forward(x, train=True).shape).astype(np.float32))
-        spare = conv.spare
-        assert spare is conv.cache[0]
-        for batch in (x[::-1], rng.random((3, 7, 7, 3), np.float32)):
-            y = conv.forward(batch, train=True)
-            assert (conv.cache[0] is spare) == (len(batch) == len(x))
-            assert conv.spare is None
-            assert y.tobytes() == fresh.forward(batch, train=True).tobytes()
-            assert conv.cache[0].tobytes() == fresh.cache[0].tobytes()
+    @pytest.mark.parametrize("kernel,stride,extent", [
+        (3, 1, 7), (7, 2, 8), (1, 1, 7), (1, 2, 7), (1, 2, 8)])
+    def test_train_cache_is_padded_input(self, kernel, stride, extent):
+        """A train forward caches (padded input, input shape, pads): the
+        input itself when nothing is padded, else a padded copy."""
+        conv = L.Conv2D(4, kernel, in_channels=3, stride=stride, seed=0)
+        x = np.random.default_rng(0).random((2, extent, extent, 3),
+                                            np.float32)
+        conv.forward(x, train=True)
+        xp, in_shape, pads = conv.cache
+        assert in_shape == x.shape
+        assert pads == T.pad_amounts(extent, extent, kernel, stride,
+                                     T.SAME_CEIL)
+        padded = any(p for pair in pads for p in pair)
+        assert (xp is not x) == padded
+        assert np.shares_memory(xp, x) == (not padded)
+        assert xp.tobytes() == np.pad(x, ((0, 0), *pads, (0, 0))).tobytes()
+
+    def test_no_column_matrix_survives(self):
+        """Model 8's block2_conv at batch 8 keeps its 2.7 MB padded input
+        from forward to backward, not its 22 MB column matrix, and its
+        backward leaves nothing behind but the padded input gradient it
+        returns a view of (the shared workspace is warm)."""
+        conv = L.Conv2D(64, 3, in_channels=32, seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.random((8, 49, 49, 32), np.float32)
+        upstream = rng.standard_normal((8, 49, 49, 64)).astype(np.float32)
+        conv.forward(x, train=True)
+        conv.backward(upstream)  # grows the workspace
+        tracemalloc.start()
+        try:
+            y = conv.forward(x, train=True)
+            after_forward = tracemalloc.get_traced_memory()[0]
+            dx = conv.backward(upstream)
+            conv.cache = None
+            after_backward = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        padded = 8 * 51 * 51 * 32 * 4  # the cache, then dx's base
+        assert column_count(conv, y) * y.itemsize > 22e6
+        assert dx.base.nbytes == padded
+        assert after_forward < y.nbytes + padded + 0.1e6, after_forward
+        assert after_backward < y.nbytes + padded + 0.1e6, after_backward
+
+    def test_one_workspace_per_dtype(self, monkeypatch):
+        """Every conv backward rebuilds its columns in one flat array per
+        dtype, which grows only for a larger request."""
+        monkeypatch.setattr(L, "_WORKSPACE", {})
+        rng = np.random.default_rng(0)
+
+        def step(conv, shape):
+            y = conv.forward(rng.random(shape).astype(conv.params[
+                "weight"].dtype), train=True)
             conv.backward(np.ones_like(y))
-        assert conv.spare is not None
-        conv.forward(x)  # an eval forward frees it
-        assert conv.spare is None
+            return column_count(conv, y)
 
-    def test_pointwise_conv_keeps_no_spare(self):
-        conv = L.Conv2D(4, 1, in_channels=3, seed=0)
-        y = conv.forward(np.ones((2, 5, 5, 3), np.float32), train=True)
-        conv.backward(np.ones_like(y))
-        assert conv.spare is None  # its columns are a view of its input
+        small = L.Conv2D(4, 3, in_channels=3, seed=0)
+        large = L.Conv2D(4, 3, in_channels=5, seed=1)
+        size = step(small, (2, 7, 7, 3))
+        ws = L._WORKSPACE[np.dtype(np.float32)]
+        assert ws.size == size
+        size = step(large, (2, 7, 7, 5))
+        assert L._WORKSPACE[np.dtype(np.float32)].size == size
+        ws = L._WORKSPACE[np.dtype(np.float32)]
+        for conv, shape in ((small, (2, 7, 7, 3)), (large, (1, 7, 7, 5)),
+                            (large, (2, 7, 7, 5))):
+            step(conv, shape)
+            assert L._WORKSPACE[np.dtype(np.float32)] is ws
+        step(L.Conv2D(4, 3, in_channels=3, seed=0, dtype=np.float64),
+             (2, 7, 7, 3))
+        assert list(L._WORKSPACE) == [np.dtype(np.float32),
+                                      np.dtype(np.float64)]
+        assert L._WORKSPACE[np.dtype(np.float32)] is ws
+        step(L.Conv2D(4, 1, in_channels=3, seed=0), (2, 70, 70, 3))
+        assert L._WORKSPACE[np.dtype(np.float32)] is ws  # reads its input
 
     def test_train_backward_memory_bounded(self):
         """Model 8's block2_conv at batch 8 holds one cell's gradient (2.5
         MB) and the padded input gradient at a time, not the full 22 MB
-        column gradient."""
+        column gradient, beyond the workspace its columns are rebuilt in,
+        which a first backward has grown."""
         model = models.build_model(models.registry_lookup(8), seed=0)
         conv = next(node.layer for node in model.nodes
                     if node.name == "block2_conv")
@@ -471,6 +556,8 @@ class TestConvInputGradient:
         x = rng.random((8, 49, 49, conv.in_channels), np.float32)
         upstream = rng.standard_normal(
             conv.forward(x, train=True).shape).astype(np.float32)
+        conv.backward(upstream)
+        conv.forward(x, train=True)
         tracemalloc.start()
         try:
             conv.backward(upstream)
@@ -495,6 +582,28 @@ class TestForwardMemory:
         finally:
             tracemalloc.stop()
         assert peak < 16e6, peak
+
+    def test_frozen_train_forward_costs_what_eval_costs(self):
+        """Model 1's phase-1 batch-8 train forward, whose backbone convs are
+        all below the frontier, peaks within a few MB of its eval forward:
+        a conv builds the same column blocks in either mode (the train
+        forward peaked 11 MB higher when a conv copied its whole column
+        matrix in train mode)."""
+        cfg = models.registry_lookup(1)
+        model = models.build_model(cfg, seed=0)
+        optim.apply_phase(cfg, model, optim.make_optimizer(cfg), 1)
+        x = np.random.default_rng(0).random((8, *models.INPUT_SPEC),
+                                            np.float32)
+        peaks = {}
+        for train in (False, True):
+            model.forward(x, train=train, rng=np.random.default_rng(0))
+            tracemalloc.start()
+            try:
+                model.forward(x, train=train, rng=np.random.default_rng(0))
+                peaks[train] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[True] - peaks[False] < 5e6, peaks
 
 
 class TestGradients:
@@ -589,6 +698,20 @@ class TestBatchNormStatistics:
         dx = bn.backward(rng.standard_normal(x.shape).astype(dtype))
         assert dx.dtype == dtype
         assert all(g.dtype == dtype for g in bn.grads.values())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_builds_dx_in_its_cache(self, dtype):
+        """dx is made in the centred input the forward cached, which only
+        the layer holds and the backward consumes."""
+        bn = L.BatchNorm(4, dtype=dtype)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((2, 3, 3, 4)).astype(dtype)
+        bn.forward(x, train=True)
+        xc = bn.cache[0]
+        dx = bn.backward(rng.standard_normal(x.shape).astype(dtype))
+        assert dx.dtype == dtype
+        assert np.shares_memory(dx, xc)
+        assert not np.shares_memory(dx, x)
 
     def test_no_backward_after_eval_forward(self):
         bn = L.BatchNorm(2)

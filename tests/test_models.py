@@ -277,13 +277,12 @@ class TestBackward:
         assert walked
         for idx in walked:
             assert model.nodes[idx].layer.cache is None, model.nodes[idx].name
-        for idx, node in enumerate(model.nodes):
-            # a conv that backward read keeps its columns for the next
-            # forward; one below the frontier, or a 1x1 stride-1 one, none
-            if node.layer.kind == "conv2d":
-                pointwise = node.layer.kernel * node.layer.stride == 1
-                assert ((node.layer.spare is not None)
-                        == (idx in walked and not pointwise)), node.name
+        for node in model.nodes:
+            # no layer keeps an array outside its parameters, gradients,
+            # statistics and cache from one step to the next
+            kept = [k for k, v in vars(node.layer).items()
+                    if isinstance(v, np.ndarray)]
+            assert not kept, (node.name, kept)
         # the softmax is not walked: its logits still read
         assert model.nodes[-1].layer.logits.shape == g.shape
         with pytest.raises(StateError, match="backward called before"):
