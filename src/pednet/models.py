@@ -4,16 +4,24 @@ A Model is an ordered list of named layer nodes; each node lists the indices
 of the nodes it consumes (-1 is the model input). Sequential networks are the
 trivial case; the residual adds of ResNet50 use two-input nodes.
 
-A forward hands a layer its first input to write (`own=True`) only when the
-layer is that array's sole reader and the array is free: never the model
-input, and never an output that is a view of an input its layer did not own.
-So a residual block's input, read by the block and by its shortcut, is
-never written.
+A Model owns one arena, a flat byte buffer that holds every node output,
+train cache, gradient in flight, conv column matrix and large layer
+temporary of a forward and backward. For each (train flag, frontier, input
+shape, dtype) it lays out a plan once, from the node list's liveness:
+a buffer lives from the call that writes it to the last call that reads
+it, buffers whose lives do not overlap share bytes, and a layer writes its
+input in place when no later call reads that input (so a residual block's
+input, read by the block and by its shortcut, is never written). The arena
+is an anonymous memory mapping, grown only when a larger plan needs it and
+freed with the model. The
+model's output and logits, the parameters, gradients and optimizer slots
+stay outside it.
 """
 
 from __future__ import annotations
 
 import copy
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +41,7 @@ CLASS_NAMES = (
 )
 NUM_CLASSES = len(CLASS_NAMES)
 INPUT_SPEC = (99, 99, 3)
+ALIGN = 64  # bytes: every arena buffer starts on a cache line
 
 
 @dataclass(frozen=True)
@@ -83,7 +92,6 @@ class _Node:
     name: str
     layer: L.Layer
     inputs: list[int]
-    last_reader: int | None = None  # the last node that reads the output
     readers: int = 0  # how many inputs of later nodes are the output
 
 
@@ -92,6 +100,9 @@ class Model:
         self.pooling = pooling
         self.nodes: list[_Node] = []
         self.backbone_len = 0  # leading node count forming the frozen backbone
+        self._arena = None
+        self._plans = {}  # (train, frontier, shape, dtype) -> (fwd, bwd) views
+        self._backward_views = None  # the last train forward's plan's bwd
 
     # -- construction -----------------------------------------------------
 
@@ -101,7 +112,6 @@ class Model:
         idx = len(self.nodes)
         for i in inputs:
             if i >= 0:
-                self.nodes[i].last_reader = idx
                 self.nodes[i].readers += 1
         self.nodes.append(_Node(name, layer, list(inputs)))
         return idx
@@ -109,10 +119,9 @@ class Model:
     # -- execution --------------------------------------------------------
 
     def forward(self, x, train=False, rng=None):
-        """The softmax output for the batch x. Each node's output is dropped
-        once its last reader has run. Finiteness is checked on the logits;
-        when that fails, the batch runs again with the same dropout draws
-        and a check after every node, so the error names the node."""
+        """The softmax output for the batch x. Finiteness is checked on the
+        logits; when that fails, the batch runs again with the same dropout
+        draws and a check after every node, so the error names the node."""
         if x.shape[1:] != INPUT_SPEC:
             raise ShapeError(f"expected input (N,{INPUT_SPEC}), got {x.shape}")
         replay = copy.deepcopy(rng)
@@ -125,28 +134,19 @@ class Model:
         return y
 
     def _run(self, x, train, rng, check_nodes=False):
-        """Run the nodes in order. In train mode a node below the frontier
-        drops its backward cache as soon as its forward has run: `backward`
-        never visits it. A node owns its first input, and may write it, when
-        it is that free array's sole reader; an output is free unless it
-        shares memory with an input its node did not own."""
-        outs = [None] * len(self.nodes)
-        free = [False] * len(self.nodes)
+        """Run the nodes in order, each writing into its views of the plan.
+        In train mode a node below the frontier keeps no backward cache:
+        `backward` never visits it."""
         frontier = self._frontier() if train else 0
+        fwd, bwd = self._plan(train, frontier, x.shape, x.dtype)
+        outs = [None] * len(self.nodes)
         for j, node in enumerate(self.nodes):
             args = [x if i == -1 else outs[i] for i in node.inputs]
-            first = node.inputs[0]
-            own = first >= 0 and free[first] and self.nodes[first].readers == 1
-            outs[j] = node.layer.forward(*args, train=train, rng=rng, own=own)
-            free[j] = not any(np.may_share_memory(outs[j], a)
-                              for a in (args[1:] if own else args))
-            if j < frontier:
-                node.layer.cache = None
+            outs[j] = node.layer.forward(*args, train=train, rng=rng,
+                                         out=fwd[j], keep=j >= frontier)
             if check_nodes:
                 T.check_finite(outs[j], node.name)
-            for i in node.inputs:
-                if i >= 0 and self.nodes[i].last_reader == j:
-                    outs[i] = None
+        self._backward_views = bwd if train else None
         return outs[-1]
 
     def backward(self, upstream):
@@ -161,14 +161,15 @@ class Model:
         `build_resnet50` and `optim.apply_phase`), so no frozen layer's
         `grads` are written. That node, the frontier, is told not to compute
         its input gradient, which nothing reads: training never computes the
-        gradient of the model input. Each node's upstream gradient is
-        dropped once its layer has consumed it, and its layer's cache once
-        its backward has returned, so a second call needs a new forward.
-        The softmax is not walked and keeps its cache: `logits` still reads.
+        gradient of the model input. Each layer writes into its views of the
+        last train forward's plan, and its cache is dropped once its
+        backward has returned, so a second call needs a new forward. The
+        softmax is not walked and keeps its cache: `logits` still reads.
         """
         last = self.nodes[-1]
         if last.layer.kind != "softmax":
             raise ShapeError("backward requires a softmax output layer")
+        views = self._backward_views or [None] * len(self.nodes)
         grads = [None] * len(self.nodes)
         grads[last.inputs[0]] = upstream
         lowest = self._frontier()
@@ -178,16 +179,190 @@ class Model:
                 continue
             node = self.nodes[idx]
             if idx == lowest:  # nothing reads the frontier's input gradient
-                node.layer.backward(g, input_grad=False)
+                node.layer.backward(g, input_grad=False, out=views[idx])
                 node.layer.cache = None
                 break
-            down = node.layer.backward(g)
+            down = node.layer.backward(g, out=views[idx])
             node.layer.cache = None
             if not isinstance(down, tuple):
                 down = (down,)
             for i, gi in zip(node.inputs, down):
-                if i >= lowest:
-                    grads[i] = gi if grads[i] is None else grads[i] + gi
+                if i < lowest:
+                    continue
+                if grads[i] is None:
+                    grads[i] = gi
+                # Add.backward hands one array to both its inputs: a sum
+                # goes into a pending gradient only when no other holds it
+                elif any(o is not None and np.may_share_memory(o, grads[i])
+                         for k, o in enumerate(grads) if k != i):
+                    grads[i] = grads[i] + gi
+                else:
+                    grads[i] += gi
+
+    # -- the arena --------------------------------------------------------
+
+    def _plan(self, train, frontier, shape, dtype):
+        """(forward views, backward views) per node of the plan for this
+        key, laid out on first use. A plan larger than the arena replaces
+        it: the smaller arena and the plans on it are dropped first."""
+        key = (train, frontier, shape, np.dtype(dtype))
+        if key not in self._plans:
+            fwd, bwd, size = self._layout(train, frontier, shape, dtype)
+            if self._arena is None or self._arena.size < size:
+                self._plans.clear()
+                self._backward_views = self._arena = None
+                # its own page-aligned mapping, returned to the system when
+                # the model drops it, whatever the heap around it holds
+                self._arena = np.frombuffer(mmap.mmap(-1, max(size, 1)),
+                                            np.uint8)
+            made = {}  # one view per (offset, shape, dtype): an in-place
+            # output is the very array its input is
+
+            def views(entries):
+                if entries is None:  # the layer allocates its own
+                    return None
+                out = {}
+                for name, (at, shp, dt) in entries.items():
+                    if (at, shp, dt) not in made:
+                        nbytes = int(np.prod(shp)) * np.dtype(dt).itemsize
+                        made[at, shp, dt] = self._arena[
+                            at:at + nbytes].view(dt).reshape(shp)
+                    out[name] = made[at, shp, dt]
+                return out
+
+            self._plans[key] = ([views(e) for e in fwd],
+                                [views(e) for e in bwd])
+        return self._plans[key]
+
+    def _layout(self, train, frontier, shape, dtype):
+        """Arena offsets of every node's buffers: ([{name: (offset, shape,
+        dtype)} or None per node] for forward and for backward, bytes).
+
+        Time runs over the forwards in node order, then the backward walk
+        as `backward` makes it. A buffer lives from the call that writes it
+        to the last call that reads it: an output to its last reader's
+        forward (its backward, when that layer's cache is its input), a
+        cache to its layer's backward, a gradient to the backward that
+        consumes it, scratch for its call. A layer's `inplace` buffer is
+        its first input's buffer when it is that input's sole reader and
+        nothing reads the buffer later. The last node and the nodes that
+        feed it (the logits) allocate their own arrays, which callers keep.
+        Offsets are greedy by size (Pisarchyk & Lee 2020): the largest
+        buffer first, each into the smallest gap left by the buffers placed
+        so far whose lives overlap its own.
+        """
+        n = len(self.nodes)
+        back = 2 * n - 1  # node j's backward runs at time back - j
+        specs = []
+        for j, node in enumerate(self.nodes):
+            first = node.inputs[0]
+            specs.append(node.layer.buffers(
+                shape if first < 0 else specs[first].out, dtype, train,
+                j >= frontier))
+        last = list(range(n))  # the last call that reads each output
+        for j, node in enumerate(self.nodes):
+            for i in node.inputs:
+                if i >= 0:
+                    held = specs[j].holds and i == node.inputs[0]
+                    last[i] = max(last[i], back - j if held else j)
+        outside = {n - 1, *self.nodes[-1].inputs}
+        life = []  # [first call, last call, bytes or None (outside)]
+
+        def buffer(t, nbytes):
+            life.append([t, t, nbytes])
+            return len(life) - 1
+
+        def read(b, t):
+            life[b][1] = max(life[b][1], t)
+
+        def nbytes(shp, dt):
+            return int(np.prod(shp)) * np.dtype(dt).itemsize
+
+        fwd, bwd = [None] * n, [None] * n
+        outb = [None] * n
+        model_input = buffer(0, None)
+        for j, node in enumerate(self.nodes):
+            spec, first = specs[j], node.inputs[0]
+            src = model_input if first < 0 else outb[first]
+            if j in outside:
+                outb[j] = buffer(j, None)
+                read(outb[j], last[j])
+                continue
+            fwd[j] = {}
+            for name, (shp, dt, role) in spec.fwd.items():
+                size = nbytes(shp, dt)
+                if (name == spec.inplace and life[src][2] == size
+                        and self.nodes[first].readers == 1
+                        and life[src][1] <= j):
+                    b = src
+                else:
+                    b = buffer(j, size)
+                read(b, last[j] if role == L.OUT else
+                     back - j if role == L.CACHE else j)
+                fwd[j][name] = b
+                if role == L.OUT:
+                    outb[j] = b
+            if outb[j] is None:  # the output is the input or a view of it
+                outb[j] = src
+                read(src, last[j])
+        if train:
+            pending = {self.nodes[-1].inputs[0]: buffer(back - n + 1, None)}
+            for idx in range(n - 1, frontier - 1, -1):
+                g = pending.pop(idx, None)
+                if g is None:
+                    continue
+                t, spec, node = back - idx, specs[idx], self.nodes[idx]
+                read(g, t)
+                if idx in outside:
+                    d = buffer(t, None)
+                else:
+                    bwd[idx] = {name: buffer(t, nbytes(shp, dt))
+                                for name, (shp, dt) in spec.bwd.items()}
+                    d = (g if spec.grad is None else
+                         bwd[idx].get(spec.grad, fwd[idx].get(spec.grad)))
+                if idx == frontier:
+                    break
+                for i in node.inputs:
+                    if i < frontier:
+                        continue
+                    if i not in pending:
+                        pending[i] = d
+                    elif any(v == pending[i] for k, v in pending.items()
+                             if k != i):
+                        read(pending[i], t)
+                        pending[i] = buffer(t, None)  # a fresh sum
+                    read(d, t)
+        offsets = self._offsets(life)
+
+        def entries(names, specs_of):
+            return {name: (offsets.get(b, 0), specs_of[name][0],
+                           np.dtype(specs_of[name][1]))
+                    for name, b in names.items()}
+
+        return ([None if fwd[j] is None else entries(fwd[j], specs[j].fwd)
+                 for j in range(n)],
+                [None if bwd[j] is None else entries(bwd[j], specs[j].bwd)
+                 for j in range(n)],
+                max([o + life[b][2] for b, o in offsets.items()], default=0))
+
+    @staticmethod
+    def _offsets(life):
+        """{buffer: byte offset}, greedy by size, each offset ALIGN-ed."""
+        placed = []  # (offset, end offset, first call, last call)
+        offsets = {}
+        for b in sorted((b for b, (_, _, size) in enumerate(life) if size),
+                        key=lambda b: -life[b][2]):
+            first, last, size = life[b]
+            size = -(-size // ALIGN) * ALIGN
+            at, gap, prev = None, None, 0
+            for lo, hi in sorted((lo, hi) for lo, hi, f, l in placed
+                                 if f <= last and first <= l):
+                if lo - prev >= size and (gap is None or lo - prev < gap):
+                    at, gap = prev, lo - prev
+                prev = max(prev, hi)
+            offsets[b] = prev if at is None else at
+            placed.append((offsets[b], offsets[b] + size, first, last))
+        return offsets
 
     def _frontier(self):
         """The index of the lowest node whose layer is trainable and has

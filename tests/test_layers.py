@@ -317,7 +317,7 @@ class TestConvWindows:
         forward = L.Conv2D.forward
         checked = []
 
-        def check(conv, x, train=False, rng=None, own=False):
+        def check(conv, x, train=False, rng=None, out=None, keep=True):
             outs = []
             for budget in (1, 2 ** 40):
                 monkeypatch.setattr(L, "COL_BUDGET", budget)
@@ -408,8 +408,10 @@ def column_input_grad(conv, upstream):
     dcol = upstream.reshape(-1, conv.filters) @ w2.T
     cells = np.moveaxis(dcol.reshape(*upstream.shape[:3], -1,
                                      conv.in_channels), 3, 0)
+    n, h, w, c = in_shape
+    (pt, pb), (pl, pr) = pads
     return L._col2im(cells, in_shape, conv.kernel, conv.stride, pads,
-                     dcol.dtype)
+                     np.empty((n, h + pt + pb, w + pl + pr, c), dcol.dtype))
 
 
 class TestConvInputGradient:
@@ -422,10 +424,10 @@ class TestConvInputGradient:
         backward = L.Conv2D.backward
         checked, weights = [], []
 
-        def check(conv, upstream, input_grad=True):
+        def check(conv, upstream, input_grad=True, out=None):
             want_w = column_weight_grad(conv, upstream)
             want = column_input_grad(conv, upstream) if input_grad else None
-            dx = backward(conv, upstream, input_grad)
+            dx = backward(conv, upstream, input_grad, out)
             assert conv.grads["weight"].tobytes() == want_w.tobytes(), conv
             weights.append(conv)
             if input_grad:
@@ -512,43 +514,11 @@ class TestConvInputGradient:
         assert after_forward < y.nbytes + padded + 0.1e6, after_forward
         assert after_backward < y.nbytes + padded + 0.1e6, after_backward
 
-    def test_one_workspace_per_dtype(self, monkeypatch):
-        """Every conv backward rebuilds its columns in one flat array per
-        dtype, which grows only for a larger request."""
-        monkeypatch.setattr(L, "_WORKSPACE", {})
-        rng = np.random.default_rng(0)
-
-        def step(conv, shape):
-            y = conv.forward(rng.random(shape).astype(conv.params[
-                "weight"].dtype), train=True)
-            conv.backward(np.ones_like(y))
-            return column_count(conv, y)
-
-        small = L.Conv2D(4, 3, in_channels=3, seed=0)
-        large = L.Conv2D(4, 3, in_channels=5, seed=1)
-        size = step(small, (2, 7, 7, 3))
-        ws = L._WORKSPACE[np.dtype(np.float32)]
-        assert ws.size == size
-        size = step(large, (2, 7, 7, 5))
-        assert L._WORKSPACE[np.dtype(np.float32)].size == size
-        ws = L._WORKSPACE[np.dtype(np.float32)]
-        for conv, shape in ((small, (2, 7, 7, 3)), (large, (1, 7, 7, 5)),
-                            (large, (2, 7, 7, 5))):
-            step(conv, shape)
-            assert L._WORKSPACE[np.dtype(np.float32)] is ws
-        step(L.Conv2D(4, 3, in_channels=3, seed=0, dtype=np.float64),
-             (2, 7, 7, 3))
-        assert list(L._WORKSPACE) == [np.dtype(np.float32),
-                                      np.dtype(np.float64)]
-        assert L._WORKSPACE[np.dtype(np.float32)] is ws
-        step(L.Conv2D(4, 1, in_channels=3, seed=0), (2, 70, 70, 3))
-        assert L._WORKSPACE[np.dtype(np.float32)] is ws  # reads its input
-
     def test_train_backward_memory_bounded(self):
         """Model 8's block2_conv at batch 8 holds one cell's gradient (2.5
         MB) and the padded input gradient at a time, not the full 22 MB
-        column gradient, beyond the workspace its columns are rebuilt in,
-        which a first backward has grown."""
+        column gradient, beyond the buffers it is handed (as a model's plan
+        hands them), its column matrix among them."""
         model = models.build_model(models.registry_lookup(8), seed=0)
         conv = next(node.layer for node in model.nodes
                     if node.name == "block2_conv")
@@ -558,9 +528,11 @@ class TestConvInputGradient:
             conv.forward(x, train=True).shape).astype(np.float32)
         conv.backward(upstream)
         conv.forward(x, train=True)
+        out = {name: np.empty(shape, dtype) for name, (shape, dtype) in
+               conv.buffers(x.shape, x.dtype, True, True).bwd.items()}
         tracemalloc.start()
         try:
-            conv.backward(upstream)
+            conv.backward(upstream, out=out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

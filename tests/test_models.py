@@ -1,5 +1,5 @@
 import functools
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ import pytest
 from pednet import layers, models, optim
 from pednet.errors import ConfigError, StateError
 from pednet.data import one_hot
-from pednet.train import cross_entropy_loss
+from pednet.train import cross_entropy_loss, predict
 
 TABLE1_COUNTS = {
     1: (24_639_878, 1_052_166),
@@ -379,30 +379,26 @@ class TestLiveness:
 
     @pytest.mark.parametrize("model_id", [8, 1])
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
-    def test_output_dead_after_last_reader(self, model_id, train):
+    def test_output_intact_until_last_reader(self, model_id, train):
+        """Every node output keeps its bytes until its last reader has run,
+        though the arena reuses its memory afterwards."""
         model = models.build_model(models.registry_lookup(model_id), seed=0)
         last_reader = {}
         for j, node in enumerate(model.nodes):
             for i in node.inputs:
                 last_reader[i] = j
-        refs, late, checked = {}, [], []
+        live, checked = {}, []
 
         def spy(*args, _fn, _j, **kwargs):
-            # each output whose last reader has run is gone, unless a
-            # train-mode backward cache or a live view (flatten) holds it
-            done = [i for i in refs
-                    if last_reader.get(i, len(model.nodes)) < _j]
-            held = [a for n in model.nodes for a in _cached_arrays(n.layer)]
-            held += [ref() for i, ref in refs.items() if i not in done]
-            for i in done:
+            for i, (out, before) in list(live.items()):
+                assert out.tobytes() == before, (model.nodes[i].name,
+                                                 model.nodes[_j].name)
                 checked.append(i)
-                out = refs[i]()
-                if out is not None and not any(
-                        np.may_share_memory(out, a) for a in held):
-                    late.append((model.nodes[i].name, model.nodes[_j].name))
-                del out
+                if last_reader[i] == _j:
+                    del live[i]
             out = _fn(*args, **kwargs)
-            refs[_j] = weakref.ref(out)
+            if _j in last_reader:
+                live[_j] = out, out.tobytes()
             return out
 
         for j, node in enumerate(model.nodes):
@@ -411,16 +407,22 @@ class TestLiveness:
         x = np.random.default_rng(1).random((2, *models.INPUT_SPEC),
                                             np.float32)
         model.forward(x, train=train, rng=np.random.default_rng(1))
-        assert len(set(checked)) == len(model.nodes) - 2  # all but the last two
-        assert not late, late[:5]
+        assert set(checked) == set(range(len(model.nodes) - 1))
+        # buffers share bytes: the arena is smaller than what it holds
+        planned = model._layout(train, model._frontier() if train else 0,
+                                x.shape, x.dtype)[0]
+        total = sum(int(np.prod(shp)) * dt.itemsize for e in planned if e
+                    for _, shp, dt in e.values())
+        assert model._arena.size < total
 
 
 def _private_inputs(model):
-    """Give every layer a private copy of each input, and never ownership:
-    the reference in which no layer's write can reach another layer."""
+    """Give every layer a private copy of each input, and fresh arrays
+    instead of the arena's: the reference in which no layer's write can
+    reach another layer."""
     for node in model.nodes:
         def forward(*args, _fn=node.layer.forward, **kwargs):
-            kwargs["own"] = False
+            kwargs["out"] = None
             return _fn(*[a.copy() for a in args], **kwargs)
         node.layer.forward = forward
 
@@ -540,3 +542,84 @@ class TestOwnership:
             assert outs[f"block{b}_relu"] is outs[f"block{b}_conv"]
             assert not np.may_share_memory(outs[f"block{b}_pool"],
                                            outs[f"block{b}_relu"])
+
+
+def _steady_bytes(step):
+    """Bytes `step()` allocates at its peak, by tracemalloc, after a first
+    call has laid out the plans."""
+    step()
+    tracemalloc.start()
+    try:
+        step()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestArena:
+    @pytest.mark.parametrize("case", ["custom", "resnet-phase2"])
+    def test_steady_train_step_allocates_under_1mib(self, case):
+        model, opt = _phase_model(case)
+        x = np.random.default_rng(0).random((8, *models.INPUT_SPEC),
+                                            np.float32)
+        labels = one_hot([0, 1, 2, 3, 4, 5, 0, 1])
+
+        def step():
+            probs = model.forward(x, train=True, rng=np.random.default_rng(0))
+            _, g = cross_entropy_loss(probs, labels,
+                                      logits=model.nodes[-1].layer.logits)
+            model.zero_grads()
+            model.backward(g)
+            opt.step(model)
+
+        assert _steady_bytes(step) < 2 ** 20
+
+    def test_predict_allocates_under_1mib(self):
+        model = models.build_model(models.registry_lookup(8), seed=0)
+        x = np.random.default_rng(0).random((20, *models.INPUT_SPEC),
+                                            np.float32)
+        assert _steady_bytes(lambda: predict(model, x)) < 2 ** 20
+
+    def test_predict_rows_kept_and_outside_the_arena(self):
+        model = models.build_model(models.registry_lookup(8), seed=0)
+        x = np.random.default_rng(0).random((20, *models.INPUT_SPEC),
+                                            np.float32)
+        first = model.forward(x[:8])
+        logits = model.nodes[-1].layer.logits
+        kept = first.tobytes(), logits.tobytes()
+        probs, all_logits = predict(model, x)
+        assert (first.tobytes(), logits.tobytes()) == kept
+        assert probs[:8].tobytes() == kept[0]
+        assert all_logits[:8].tobytes() == kept[1]
+        for out in (first, logits, probs, all_logits):
+            assert not np.may_share_memory(out, model._arena)
+
+    def test_interleaved_models_keep_their_own_arena(self):
+        """A's train forward, then a whole step of B, then A's backward
+        give A the gradient bytes of A's step alone."""
+        def grads_of(interleave):
+            a = models.build_model(models.registry_lookup(8), seed=0)
+            b = models.build_model(models.registry_lookup(8), seed=1)
+            g = _forward_loss_grad(a, seed=5)
+            if interleave:
+                _train_step(b, optim.make_optimizer(models.registry_lookup(8)),
+                            seed=6)
+            a.zero_grads()
+            a.backward(g)
+            return [layer.grads[p].tobytes() for _, layer, p
+                    in a.named_params()]
+
+        assert grads_of(True) == grads_of(False)
+
+    def test_arena_grows_for_a_larger_plan_only(self):
+        model = models.build_model(models.registry_lookup(8), seed=0)
+        rng = np.random.default_rng(0)
+        model.forward(rng.random((2, *models.INPUT_SPEC), np.float32))
+        small = model._arena
+        model.forward(rng.random((4, *models.INPUT_SPEC), np.float32),
+                      train=True, rng=rng)
+        large = model._arena
+        assert large.size > small.size
+        assert len(model._plans) == 1  # the smaller arena's plan went
+        model.forward(rng.random((2, *models.INPUT_SPEC), np.float32))
+        assert model._arena is large
