@@ -73,10 +73,16 @@ def _pad(x, pads, value, out):
     return out
 
 
-def _padded(shape, pads):
-    (pt, pb), (pl, pr) = pads
+def _window_geometry(shape, k, stride, padding, channels):
+    """(pads, padded shape, output shape) of the k x k windows at `stride`
+    over an (N,H,W,C) input, for an output of `channels` channels: the one
+    place a windowed layer's forward and `buffers` take their shapes from."""
     n, h, w, c = shape
-    return n, h + pt + pb, w + pl + pr, c
+    pads = T.pad_amounts(h, w, k, stride, padding)
+    (pt, pb), (pl, pr) = pads
+    padded = (n, h + pt + pb, w + pl + pr, c)
+    return pads, padded, (n, (padded[1] - k) // stride + 1,
+                          (padded[2] - k) // stride + 1, channels)
 
 
 def _images_per_block(n, image_bytes):
@@ -186,12 +192,19 @@ class Conv2D(Layer):
         self.in_channels = in_channels
         self.stride = stride
 
+    def _geometry(self, shape, dtype):
+        """(pads, padded shape, output shape, images per column block) of
+        an input shape and dtype."""
+        pads, padded, y = _window_geometry(shape, self.kernel, self.stride,
+                                           T.SAME_CEIL, self.filters)
+        image = (y[1] * y[2] * self.kernel ** 2 * shape[3]
+                 * np.dtype(dtype).itemsize)
+        return pads, padded, y, _images_per_block(shape[0], image)
+
     def buffers(self, shape, dtype, train, keep):
         n, h, w, c = shape
         k, s = self.kernel, self.stride
-        padded = _padded(shape, T.pad_amounts(h, w, k, s, T.SAME_CEIL))
-        y = (n, (padded[1] - k) // s + 1, (padded[2] - k) // s + 1,
-             self.filters)
+        _, padded, y, step = self._geometry(shape, dtype)
         dt = np.result_type(dtype, self.params["weight"].dtype)
         kept = train and keep
         fwd = {"y": (y, dt, OUT)}
@@ -202,9 +215,7 @@ class Conv2D(Layer):
         if k == 1 and s == 1:
             bwd["dx"] = ((cells, c), dt)
         else:
-            image = y[1] * y[2] * kkc * np.dtype(dtype).itemsize
-            fwd["col"] = ((_images_per_block(n, image) * y[1] * y[2], kkc),
-                          dtype, TEMP)
+            fwd["col"] = ((step * y[1] * y[2], kkc), dtype, TEMP)
             bwd.update(col=((cells, kkc), dtype), cell=((cells, c), dt),
                        dx=(padded, dt))
         return Buffers(y, fwd, bwd if kept else {},
@@ -215,8 +226,7 @@ class Conv2D(Layer):
             raise ShapeError(f"conv2d expects (N,H,W,{self.in_channels}), got {x.shape}")
         if out is None:
             out = _fresh(self.buffers(x.shape, x.dtype, train, keep).fwd)
-        pads = T.pad_amounts(x.shape[1], x.shape[2], self.kernel,
-                             self.stride, T.SAME_CEIL)
+        pads, _, _, step = self._geometry(x.shape, x.dtype)
         xp = _pad(x, pads, 0.0, out.get("xp"))
         # backward rebuilds the columns from the padded input: x itself when
         # nothing is padded, which the plan keeps intact until then
@@ -226,7 +236,6 @@ class Conv2D(Layer):
         bias = self.params["bias"]
         y = out["y"]
         scratch = out.get("col")  # none for a 1x1 stride-1 conv: x is it
-        step = _images_per_block(len(x), col[0].size * col.itemsize)
         # the columns and GEMM of a block of whole images at a time
         for i in range(0, len(x), step):
             win = col[i:i + step]
@@ -405,11 +414,8 @@ class MaxPool2D(Layer):
         self.padding = padding
 
     def buffers(self, shape, dtype, train, keep):
-        k, s = self.kernel, self.stride
-        padded = _padded(shape, T.pad_amounts(shape[1], shape[2], k, s,
-                                              self.padding))
-        y = (shape[0], (padded[1] - k) // s + 1, (padded[2] - k) // s + 1,
-             shape[3])
+        _, padded, y = _window_geometry(shape, self.kernel, self.stride,
+                                        self.padding, shape[3])
         fwd = {"y": (y, dtype, OUT)}
         if padded != shape:
             fwd["xp"] = (padded, dtype, TEMP)
@@ -425,7 +431,7 @@ class MaxPool2D(Layer):
         if out is None:
             out = _fresh(self.buffers(x.shape, x.dtype, train, keep).fwd)
         k, s = self.kernel, self.stride
-        pads = T.pad_amounts(x.shape[1], x.shape[2], k, s, self.padding)
+        pads = _window_geometry(x.shape, k, s, self.padding, x.shape[3])[0]
         win = _windows(_pad(x, pads, -np.inf, out.get("xp")), k, s)
         y = _first_max([win[:, :, :, i, j] for i in range(k) for j in range(k)],
                        out["y"], out.get("arg"), out.get("later"))

@@ -23,12 +23,13 @@ from __future__ import annotations
 import copy
 import mmap
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import layers as L
 from . import tensor as T
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError, StateError
 
 # Fixed alphabetical class order; shared by manifests, outputs, and reports.
 CLASS_NAMES = (
@@ -87,6 +88,15 @@ def _layer_seed(root_seed: int | None, index: int) -> int | None:
     return int(np.random.SeedSequence([root_seed, index]).generate_state(1)[0])
 
 
+class _Plan(NamedTuple):
+    """A laid-out arena plan: each node's forward and backward views
+    ({name: array} or None, where the layer allocates its own) and the
+    fresh sums (see `Model._layout`)."""
+    fwd: list
+    bwd: list
+    fresh: frozenset
+
+
 @dataclass
 class _Node:
     name: str
@@ -101,8 +111,8 @@ class Model:
         self.nodes: list[_Node] = []
         self.backbone_len = 0  # leading node count forming the frozen backbone
         self._arena = None
-        self._plans = {}  # (train, frontier, shape, dtype) -> (fwd, bwd) views
-        self._backward_views = None  # the last train forward's plan's bwd
+        self._plans = {}  # (train, frontier, shape, dtype) -> _Plan
+        self._backward_plan = None  # the last train forward's plan
 
     # -- construction -----------------------------------------------------
 
@@ -138,15 +148,15 @@ class Model:
         In train mode a node below the frontier keeps no backward cache:
         `backward` never visits it."""
         frontier = self._frontier() if train else 0
-        fwd, bwd = self._plan(train, frontier, x.shape, x.dtype)
+        plan = self._plan(train, frontier, x.shape, x.dtype)
         outs = [None] * len(self.nodes)
         for j, node in enumerate(self.nodes):
             args = [x if i == -1 else outs[i] for i in node.inputs]
             outs[j] = node.layer.forward(*args, train=train, rng=rng,
-                                         out=fwd[j], keep=j >= frontier)
+                                         out=plan.fwd[j], keep=j >= frontier)
             if check_nodes:
                 T.check_finite(outs[j], node.name)
-        self._backward_views = bwd if train else None
+        self._backward_plan = plan if train else None
         return outs[-1]
 
     def backward(self, upstream):
@@ -165,11 +175,15 @@ class Model:
         last train forward's plan, and its cache is dropped once its
         backward has returned, so a second call needs a new forward. The
         softmax is not walked and keeps its cache: `logits` still reads.
+        Where two gradients meet, the plan says whether their sum may go
+        into the pending one.
         """
         last = self.nodes[-1]
         if last.layer.kind != "softmax":
             raise ShapeError("backward requires a softmax output layer")
-        views = self._backward_views or [None] * len(self.nodes)
+        if self._backward_plan is None:
+            raise StateError("backward called before a train forward")
+        views, fresh = self._backward_plan.bwd, self._backward_plan.fresh
         grads = [None] * len(self.nodes)
         grads[last.inputs[0]] = upstream
         lowest = self._frontier()
@@ -191,10 +205,7 @@ class Model:
                     continue
                 if grads[i] is None:
                     grads[i] = gi
-                # Add.backward hands one array to both its inputs: a sum
-                # goes into a pending gradient only when no other holds it
-                elif any(o is not None and np.may_share_memory(o, grads[i])
-                         for k, o in enumerate(grads) if k != i):
+                elif (idx, i) in fresh:
                     grads[i] = grads[i] + gi
                 else:
                     grads[i] += gi
@@ -202,15 +213,16 @@ class Model:
     # -- the arena --------------------------------------------------------
 
     def _plan(self, train, frontier, shape, dtype):
-        """(forward views, backward views) per node of the plan for this
-        key, laid out on first use. A plan larger than the arena replaces
-        it: the smaller arena and the plans on it are dropped first."""
+        """The plan for this key, laid out on first use. A plan larger than
+        the arena replaces it: the smaller arena and the plans on it are
+        dropped first."""
         key = (train, frontier, shape, np.dtype(dtype))
         if key not in self._plans:
-            fwd, bwd, size = self._layout(train, frontier, shape, dtype)
+            fwd, bwd, fresh, size = self._layout(train, frontier, shape,
+                                                 dtype)
             if self._arena is None or self._arena.size < size:
                 self._plans.clear()
-                self._backward_views = self._arena = None
+                self._backward_plan = self._arena = None
                 # its own page-aligned mapping, returned to the system when
                 # the model drops it, whatever the heap around it holds
                 self._arena = np.frombuffer(mmap.mmap(-1, max(size, 1)),
@@ -230,13 +242,14 @@ class Model:
                     out[name] = made[at, shp, dt]
                 return out
 
-            self._plans[key] = ([views(e) for e in fwd],
-                                [views(e) for e in bwd])
+            self._plans[key] = _Plan([views(e) for e in fwd],
+                                     [views(e) for e in bwd], fresh)
         return self._plans[key]
 
     def _layout(self, train, frontier, shape, dtype):
         """Arena offsets of every node's buffers: ([{name: (offset, shape,
-        dtype)} or None per node] for forward and for backward, bytes).
+        dtype)} or None per node] for forward and for backward, the fresh
+        sums, bytes).
 
         Time runs over the forwards in node order, then the backward walk
         as `backward` makes it. A buffer lives from the call that writes it
@@ -249,7 +262,10 @@ class Model:
         feed it (the logits) allocate their own arrays, which callers keep.
         Offsets are greedy by size (Pisarchyk & Lee 2020): the largest
         buffer first, each into the smallest gap left by the buffers placed
-        so far whose lives overlap its own.
+        so far whose lives overlap its own. Where node idx's input gradient
+        meets a pending gradient of input i that another pending gradient
+        holds too (Add.backward hands one array to both its inputs), the
+        sum goes into a fresh array: (idx, i) is in the fresh sums.
         """
         n = len(self.nodes)
         back = 2 * n - 1  # node j's backward runs at time back - j
@@ -280,6 +296,7 @@ class Model:
 
         fwd, bwd = [None] * n, [None] * n
         outb = [None] * n
+        fresh = set()
         model_input = buffer(0, None)
         for j, node in enumerate(self.nodes):
             spec, first = specs[j], node.inputs[0]
@@ -330,7 +347,8 @@ class Model:
                     elif any(v == pending[i] for k, v in pending.items()
                              if k != i):
                         read(pending[i], t)
-                        pending[i] = buffer(t, None)  # a fresh sum
+                        pending[i] = buffer(t, None)
+                        fresh.add((idx, i))
                     read(d, t)
         offsets = self._offsets(life)
 
@@ -343,6 +361,7 @@ class Model:
                  for j in range(n)],
                 [None if bwd[j] is None else entries(bwd[j], specs[j].bwd)
                  for j in range(n)],
+                frozenset(fresh),
                 max([o + life[b][2] for b, o in offsets.items()], default=0))
 
     @staticmethod

@@ -428,8 +428,9 @@ def _private_inputs(model):
 
 
 class TestOwnership:
-    """A layer writes an input only when it is that array's sole reader and
-    no other layer returned it as a view of an input it did not own."""
+    """A layer writes an input only where the plan makes its output that
+    input's buffer: the input is an arena buffer, the layer is its sole
+    reader and nothing reads it later. The model input is never written."""
 
     # model 8 with every layer trainable, model 1 in each phase
     CASES = ["custom", "resnet-phase1", "resnet-phase2"]
