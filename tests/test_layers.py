@@ -231,6 +231,14 @@ def _tied_input(fill, extent, dtype, rng):
     return x
 
 
+def _signed_zero_window(x):
+    """Give x's first window maxima that are zeros of both signs, in each
+    order: -0.0 then +0.0 in image 0, +0.0 then -0.0 in image 1."""
+    x[:, :3, :3] = -1.0
+    x[0, 0, :2] = [[-0.0], [0.0]]
+    x[1, 0, :2] = [[0.0], [-0.0]]
+
+
 def slice_cases(test):
     """The pool geometries, extents, tie patterns and dtypes of
     TestMaxPoolSlices."""
@@ -264,14 +272,51 @@ class TestMaxPoolSlices:
         assert dx.dtype == dtype and dx.shape == x.shape
         assert dx.tobytes() == want_dx.tobytes()
 
+    @staticmethod
+    def _check_index_and_dx(x, kernel, stride, padding):
+        """The first-max index and the input gradient bytes equal the
+        window-view path's. The output is compared by value: the sign of a
+        zero maximum depends on the order the maxima are folded in."""
+        pool = L.MaxPool2D(kernel, stride, padding)
+        out = pool.forward(x, train=True)
+        upstream = np.random.default_rng(1).standard_normal(
+            out.shape).astype(x.dtype)
+        want, want_arg, want_dx = window_path_pool(x, kernel, stride, padding,
+                                                   upstream)
+        assert np.array_equal(out, want)
+        assert np.array_equal(pool.cache[0], want_arg)
+        assert pool.backward(upstream).tobytes() == want_dx.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("extent", [12, 13])
+    @pytest.mark.parametrize("kernel,stride,padding", [
+        (2, 2, T.VALID_FLOOR), (3, 2, T.SAME_CEIL)])
+    def test_signed_zero_maxima_route_to_first(self, kernel, stride, padding,
+                                               extent, dtype):
+        """+0.0 is not greater than -0.0 nor -0.0 than +0.0, so the first
+        of the two zeros keeps the index in either order."""
+        x = _tied_input("random", extent, dtype,
+                        np.random.default_rng(extent))
+        _signed_zero_window(x)
+        self._check_index_and_dx(x, kernel, stride, padding)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("extent", [12, 13])
+    def test_far_edge_beside_padding(self, extent, dtype):
+        """3x3/2 same_ceil windows whose only finite cells are the last row
+        and column, next to the -inf padding; the other windows tie at -inf
+        and route to their first cell."""
+        rng = np.random.default_rng(extent)
+        x = np.full((2, extent, extent, 3), -np.inf, dtype)
+        x[:, -1] = rng.integers(0, 2, (2, extent, 3))
+        x[:, :, -1] = rng.integers(0, 2, (2, extent, 3))
+        self._check_index_and_dx(x, 3, 2, T.SAME_CEIL)
+
     @slice_cases
     def test_eval_output_equals_train(self, kernel, stride, padding, extent,
                                       fill, dtype):
         x = _tied_input(fill, extent, dtype, np.random.default_rng(extent))
-        # a first window whose maxima are zeros of both signs, in each order
-        x[:, :3, :3] = -1.0
-        x[0, 0, :2] = [[-0.0], [0.0]]
-        x[1, 0, :2] = [[0.0], [-0.0]]
+        _signed_zero_window(x)
         pool = L.MaxPool2D(kernel, stride, padding)
         train_out = pool.forward(x, train=True)
         eval_out = pool.forward(x, train=False)
