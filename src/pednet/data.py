@@ -166,12 +166,12 @@ def _entry_field(entry, key, what):
     return entry[key]
 
 
-def parse_coco(text: str) -> tuple[list[AnnotationRecord], int]:
+def parse_coco(text: str) -> list[AnnotationRecord]:
     """Parse the text of a COCO-format annotation file.
 
-    Returns records sorted by annotation id plus the count of annotations
-    skipped for an absent, null or empty bbox; any other bbox must be four
-    finite numbers, and no two kept annotations may share an int(id).
+    Returns records sorted by annotation id. An annotation with an absent,
+    null or empty bbox is skipped; any other bbox must be four finite
+    numbers, and no two kept annotations may share an int(id).
     """
     try:
         document = json.loads(text)
@@ -196,11 +196,9 @@ def parse_coco(text: str) -> tuple[list[AnnotationRecord], int]:
               for img in document["images"]}
     records = []
     first_ids = {}  # int(id), which names the crop file -> the first id
-    skipped = 0
     for ann in document["annotations"]:
         bbox = ann.get("bbox")
         if bbox is None or bbox == []:
-            skipped += 1
             continue
         ann_id = _entry_field(ann, "id", "an annotation")
         category_id = _entry_field(ann, "category_id", f"annotation {ann_id}")
@@ -233,7 +231,7 @@ def parse_coco(text: str) -> tuple[list[AnnotationRecord], int]:
         records.append(AnnotationRecord(*ids, file_name, box,
                                         cat_map[category_id]))
     records.sort(key=lambda r: r.ann_id)
-    return records, skipped
+    return records
 
 
 # -- crop and resize ------------------------------------------------------
@@ -490,7 +488,7 @@ def prepare_dataset(annotation_path, frames_dir, workdir, target: int,
     if target < 1:
         raise DataError(f"balance target must be >= 1, got {target}")
     try:
-        records, _ = parse_coco(read_text(annotation_path))
+        records = parse_coco(read_text(annotation_path))
     except DataError as e:
         raise DataError(f"{annotation_path}: {e}") from None
     crop_dir = os.path.join(workdir, "crops")

@@ -8,9 +8,9 @@ columns. Feature maps are (N, H, W, C) float arrays.
 
 Each kind's `buffers` lists the arrays a forward and a backward write for an
 input shape: outputs, caches, scratch and input gradients. `Model` lays them
-out in its arena and hands each call its views through `out=`; a layer
-called without `out=` allocates them itself. A forward writes its input only
-where the plan made a buffer that `Buffers.inplace` names the input's memory.
+out in its arena and hands each call its views through `out=`, the one way a
+layer gets them. A forward writes its input only where the plan made a
+buffer that `Buffers.inplace` names the input's memory.
 """
 
 from __future__ import annotations
@@ -39,23 +39,19 @@ class Buffers(NamedTuple):
 
     out: the output shape. fwd: name -> (shape, dtype, role) of what the
     forward writes; the OUT buffer is the output, and with none the output
-    is the first input or a view of it. bwd: name -> (shape, dtype) of what
+    is the first input, a view of it, or the softmax's fresh array. bwd: name -> (shape, dtype) of what
     the backward writes. inplace: the forward buffer that may be the first
     input's memory, when nothing reads that input later. holds: the train
     cache is the first input itself. grad: the buffer the input gradient
-    is or views (of bwd, or a forward cache); None: the upstream gradient.
+    is or views (of bwd, or a forward cache), one per input; None: the
+    upstream gradient itself.
     """
     out: tuple
     fwd: dict
     bwd: dict
     inplace: str | None = None
     holds: bool = False
-    grad: str | None = None
-
-
-def _fresh(specs):
-    """A fresh array for each (shape, dtype, ...) of `specs`."""
-    return {name: np.empty(spec[0], spec[1]) for name, spec in specs.items()}
+    grad: tuple = (None,)
 
 
 def _pad(x, pads, value, out):
@@ -223,13 +219,11 @@ class Conv2D(Layer):
             bwd.update(col=((cells, kkc), dtype), cell=((cells, c), dt),
                        dx=(padded, dt))
         return Buffers(y, fwd, bwd if kept else {},
-                       holds=kept and padded == shape, grad="dx")
+                       holds=kept and padded == shape, grad=("dx",))
 
-    def forward(self, x, train=False, rng=None, out=None, keep=True):
+    def forward(self, x, train=False, rng=None, *, out, keep=True):
         if x.ndim != 4 or x.shape[3] != self.in_channels:
             raise ShapeError(f"conv2d expects (N,H,W,{self.in_channels}), got {x.shape}")
-        if out is None:
-            out = _fresh(self.buffers(x.shape, x.dtype, train, keep).fwd)
         pads, _, _, step = self._geometry(x.shape, x.dtype)
         xp = _pad(x, pads, 0.0, out.get("xp"))
         # backward rebuilds the columns from the padded input: x itself when
@@ -253,11 +247,9 @@ class Conv2D(Layer):
             block += bias
         return y
 
-    def backward(self, upstream, input_grad=True, out=None):
+    def backward(self, upstream, input_grad=True, *, out):
         self._require_cache()
         xp, in_shape, pads = self.cache
-        if out is None:
-            out = _fresh(self.buffers(in_shape, xp.dtype, True, True).bwd)
         weight = self.params["weight"]
         k = self.kernel
         pointwise = k == 1 and self.stride == 1
@@ -319,13 +311,11 @@ class BatchNorm(Layer):
             return Buffers(shape, {"y": y}, {}, inplace="y")
         xc = (shape, dtype, CACHE if keep else TEMP)
         return Buffers(shape, {"xc": xc, "y": y}, {}, inplace="xc",
-                       grad="xc")
+                       grad=("xc",))
 
-    def forward(self, x, train=False, rng=None, out=None, keep=True):
+    def forward(self, x, train=False, rng=None, *, out, keep=True):
         if x.ndim != 4 or x.shape[3] != self.channels:
             raise ShapeError(f"batchnorm expects (N,H,W,{self.channels}), got {x.shape}")
-        if out is None:
-            out = _fresh(self.buffers(x.shape, x.dtype, train, keep).fwd)
         if not train:
             self.cache = None
             y = np.subtract(x, self.state["moving_mean"], out=out["y"])
@@ -350,7 +340,7 @@ class BatchNorm(Layer):
         y += self.params["shift"]
         return y
 
-    def backward(self, upstream, input_grad=True, out=None):
+    def backward(self, upstream, input_grad=True, *, out):
         self._require_cache()
         xc, inv_std = self.cache
         # sum(up * xhat) with xhat = xc * inv_std
@@ -380,21 +370,16 @@ class ReLU(Layer):
         if kept:
             fwd["mask"] = (shape, np.bool_, CACHE)
         return Buffers(shape, fwd, {"dx": (shape, dtype)} if kept else {},
-                       inplace="y", grad="dx")
+                       inplace="y", grad=("dx",))
 
-    def forward(self, x, train=False, rng=None, out=None, keep=True):
-        if out is None:
-            out = _fresh(self.buffers(x.shape, x.dtype, train, keep).fwd)
+    def forward(self, x, train=False, rng=None, *, out, keep=True):
         # subgradient at 0 is 0
         self.cache = (np.greater(x, 0, out=out["mask"]) if train and keep
                       else None)
         return np.maximum(x, 0, out=out["y"])
 
-    def backward(self, upstream, out=None):
+    def backward(self, upstream, *, out):
         self._require_cache()
-        if out is None:
-            out = _fresh(self.buffers(upstream.shape, upstream.dtype, True,
-                                      True).bwd)
         return np.multiply(upstream, self.cache, out=out["dx"])
 
 
@@ -429,13 +414,11 @@ class MaxPool2D(Layer):
             return Buffers(y, fwd, {})
         fwd.update(arg=(y, np.uint8, CACHE), later=(y, np.uint8, TEMP))
         return Buffers(y, fwd, {"routed": (y, dtype), "hit": (y, np.bool_),
-                                "dx": (padded, dtype)}, grad="dx")
+                                "dx": (padded, dtype)}, grad=("dx",))
 
-    def forward(self, x, train=False, rng=None, out=None, keep=True):
+    def forward(self, x, train=False, rng=None, *, out, keep=True):
         if x.ndim != 4:
             raise ShapeError(f"maxpool2d expects rank-4 input, got {x.shape}")
-        if out is None:
-            out = _fresh(self.buffers(x.shape, x.dtype, train, keep).fwd)
         k, s = self.kernel, self.stride
         pads = _window_geometry(x.shape, k, s, self.padding, x.shape[3])[0]
         win = _windows(_pad(x, pads, -np.inf, out.get("xp")), k, s)
@@ -444,12 +427,9 @@ class MaxPool2D(Layer):
         self.cache = (out["arg"], x.shape, pads) if train and keep else None
         return y
 
-    def backward(self, upstream, out=None):
+    def backward(self, upstream, *, out):
         self._require_cache()
         arg, in_shape, pads = self.cache
-        if out is None:
-            out = _fresh(self.buffers(in_shape, upstream.dtype, True,
-                                      True).bwd)
         routed, hit = out["routed"], out["hit"]
         # the sum onto zeros also turns the -0.0 of a negative gradient
         # times a losing cell into +0.0
@@ -466,21 +446,16 @@ class GlobalAvgPool(Layer):
         y = (shape[0], shape[3])
         return Buffers(y, {"y": (y, dtype, OUT)},
                        {"dx": (shape, dtype)} if train and keep else {},
-                       grad="dx")
+                       grad=("dx",))
 
-    def forward(self, x, train=False, rng=None, out=None, keep=True):
+    def forward(self, x, train=False, rng=None, *, out, keep=True):
         if x.ndim != 4:
             raise ShapeError(f"globalavgpool expects rank-4 input, got {x.shape}")
-        if out is None:
-            out = _fresh(self.buffers(x.shape, x.dtype, train, keep).fwd)
         self.cache = x.shape if keep else None
         return x.mean(axis=(1, 2), out=out["y"])
 
-    def backward(self, upstream, out=None):
+    def backward(self, upstream, *, out):
         self._require_cache()
-        if out is None:
-            out = _fresh(self.buffers(self.cache, upstream.dtype, True,
-                                      True).bwd)
         n, h, w, c = self.cache
         g = upstream / np.asarray(h * w, dtype=upstream.dtype)
         np.copyto(out["dx"], g[:, None, None, :])
@@ -493,11 +468,11 @@ class Flatten(Layer):
     def buffers(self, shape, dtype, train, keep):
         return Buffers((shape[0], int(np.prod(shape[1:]))), {}, {})
 
-    def forward(self, x, train=False, rng=None, out=None, keep=True):
+    def forward(self, x, train=False, rng=None, *, out, keep=True):
         self.cache = x.shape if keep else None
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, upstream, out=None):
+    def backward(self, upstream, *, out):
         self._require_cache()
         return upstream.reshape(self.cache)
 
@@ -518,23 +493,19 @@ class Dense(Layer):
         kept = train and keep
         return Buffers(y, {"y": (y, dt, OUT)},
                        {"dw": (weight.shape, dt), "dx": (shape, dt)}
-                       if kept else {}, holds=kept, grad="dx")
+                       if kept else {}, holds=kept, grad=("dx",))
 
-    def forward(self, x, train=False, rng=None, out=None, keep=True):
+    def forward(self, x, train=False, rng=None, *, out, keep=True):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(f"dense expects (N,{self.in_features}), got {x.shape}")
-        if out is None:
-            out = _fresh(self.buffers(x.shape, x.dtype, train, keep).fwd)
         self.cache = x if train and keep else None
         y = np.matmul(x, self.params["weight"], out=out["y"])
         y += self.params["bias"]
         return y
 
-    def backward(self, upstream, input_grad=True, out=None):
+    def backward(self, upstream, input_grad=True, *, out):
         self._require_cache()
         x = self.cache
-        if out is None:
-            out = _fresh(self.buffers(x.shape, x.dtype, True, True).bwd)
         self.grads["weight"] += np.matmul(x.T, upstream, out=out["dw"])
         self.grads["bias"] += upstream.sum(axis=0)
         if not input_grad:
@@ -557,47 +528,43 @@ class Dropout(Layer):
         fwd = {"y": (shape, dtype, OUT),
                "mask": (shape, dtype, CACHE if keep else TEMP)}
         return Buffers(shape, fwd, {"dx": (shape, dtype)} if keep else {},
-                       inplace="y", grad="dx")
+                       inplace="y", grad=("dx",))
 
-    def forward(self, x, train=False, rng=None, out=None, keep=True):
+    def forward(self, x, train=False, rng=None, *, out, keep=True):
         if not train:
             self.cache = None
             return x
         if rng is None:
             raise StateError("dropout in train mode requires an rng")
-        if out is None:
-            out = _fresh(self.buffers(x.shape, x.dtype, train, keep).fwd)
         kept = rng.random(x.shape) >= self.rate
         mask = np.divide(kept, np.asarray(1.0 - self.rate, dtype=x.dtype),
                          out=out["mask"])
         self.cache = mask if keep else None
         return np.multiply(x, mask, out=out["y"])
 
-    def backward(self, upstream, out=None):
+    def backward(self, upstream, *, out):
         self._require_cache()
-        if out is None:
-            out = _fresh(self.buffers(upstream.shape, upstream.dtype, True,
-                                      True).bwd)
         return np.multiply(upstream, self.cache, out=out["dx"])
 
 
 class Softmax(Layer):
-    """The model's output layer; its output and its input, the logits,
-    are fresh arrays that callers keep across calls."""
+    """The model's output layer. Its output and a copy of its input, the
+    logits, are fresh arrays that callers keep across calls; the plan
+    reuses the logits' own buffer once the softmax has read it."""
 
     kind = "softmax"
 
     def buffers(self, shape, dtype, train, keep):
         return Buffers(shape, {}, {})
 
-    def forward(self, x, train=False, rng=None, out=None, keep=True):
+    def forward(self, x, train=False, rng=None, *, out, keep=True):
         z = x - x.max(axis=-1, keepdims=True)
         e = np.exp(z)
         p = e / e.sum(axis=-1, keepdims=True)
-        self.cache = (p, x)
+        self.cache = (p, x.copy())
         return p
 
-    def backward(self, upstream, out=None):
+    def backward(self, upstream, *, out):
         self._require_cache()
         p, _ = self.cache
         return p * (upstream - (upstream * p).sum(axis=-1, keepdims=True))
@@ -610,21 +577,24 @@ class Softmax(Layer):
 
 
 class Add(Layer):
-    """Residual merge; the one layer with two inputs."""
+    """Residual merge; the one layer with two inputs. Its backward hands
+    the first input the upstream gradient itself and the second a copy in
+    its own buffer, so each gradient in flight has one owner."""
 
     kind = "add"
 
     def buffers(self, shape, dtype, train, keep):
-        return Buffers(shape, {"y": (shape, dtype, OUT)}, {}, inplace="y")
+        return Buffers(shape, {"y": (shape, dtype, OUT)},
+                       {"db": (shape, dtype)} if train and keep else {},
+                       inplace="y", grad=(None, "db"))
 
-    def forward(self, a, b=None, train=False, rng=None, out=None, keep=True):
+    def forward(self, a, b=None, train=False, rng=None, *, out, keep=True):
         if b is None or a.shape != b.shape:
             raise ShapeError("add expects two equal-shaped inputs")
-        if out is None:
-            out = _fresh(self.buffers(a.shape, a.dtype, train, keep).fwd)
         self.cache = a.shape if keep else None
         return np.add(a, b, out=out["y"])
 
-    def backward(self, upstream, out=None):
+    def backward(self, upstream, *, out):
         self._require_cache()
-        return upstream, upstream
+        np.copyto(out["db"], upstream)
+        return upstream, out["db"]

@@ -13,9 +13,8 @@ it, buffers whose lives do not overlap share bytes, and a layer writes its
 input in place when no later call reads that input (so a residual block's
 input, read by the block and by its shortcut, is never written). The arena
 is an anonymous memory mapping, grown only when a larger plan needs it and
-freed with the model. The
-model's output and logits, the parameters, gradients and optimizer slots
-stay outside it.
+freed with the model. The softmax's output and its copy of the logits, the
+parameters, gradients and optimizer slots stay outside it.
 """
 
 from __future__ import annotations
@@ -89,12 +88,10 @@ def _layer_seed(root_seed: int | None, index: int) -> int | None:
 
 
 class _Plan(NamedTuple):
-    """A laid-out arena plan: each node's forward and backward views
-    ({name: array} or None, where the layer allocates its own) and the
-    fresh sums (see `Model._layout`)."""
+    """A laid-out arena plan: each node's forward and backward views,
+    {name: array} (see `Model._layout`)."""
     fwd: list
     bwd: list
-    fresh: frozenset
 
 
 @dataclass
@@ -102,7 +99,6 @@ class _Node:
     name: str
     layer: L.Layer
     inputs: list[int]
-    readers: int = 0  # how many inputs of later nodes are the output
 
 
 class Model:
@@ -120,9 +116,6 @@ class Model:
         if inputs is None:
             inputs = [len(self.nodes) - 1]
         idx = len(self.nodes)
-        for i in inputs:
-            if i >= 0:
-                self.nodes[i].readers += 1
         self.nodes.append(_Node(name, layer, list(inputs)))
         return idx
 
@@ -175,15 +168,15 @@ class Model:
         last train forward's plan, and its cache is dropped once its
         backward has returned, so a second call needs a new forward. The
         softmax is not walked and keeps its cache: `logits` still reads.
-        Where two gradients meet, the plan says whether their sum may go
-        into the pending one.
+        Each gradient in flight belongs to one pending input (see
+        `Model._layout`), so a second gradient is added into it in place.
         """
         last = self.nodes[-1]
         if last.layer.kind != "softmax":
             raise ShapeError("backward requires a softmax output layer")
         if self._backward_plan is None:
             raise StateError("backward called before a train forward")
-        views, fresh = self._backward_plan.bwd, self._backward_plan.fresh
+        views = self._backward_plan.bwd
         grads = [None] * len(self.nodes)
         grads[last.inputs[0]] = upstream
         lowest = self._frontier()
@@ -205,8 +198,6 @@ class Model:
                     continue
                 if grads[i] is None:
                     grads[i] = gi
-                elif (idx, i) in fresh:
-                    grads[i] = grads[i] + gi
                 else:
                     grads[i] += gi
 
@@ -218,8 +209,7 @@ class Model:
         dropped first."""
         key = (train, frontier, shape, np.dtype(dtype))
         if key not in self._plans:
-            fwd, bwd, fresh, size = self._layout(train, frontier, shape,
-                                                 dtype)
+            fwd, bwd, size = self._layout(train, frontier, shape, dtype)
             if self._arena is None or self._arena.size < size:
                 self._plans.clear()
                 self._backward_plan = self._arena = None
@@ -231,8 +221,6 @@ class Model:
             # output is the very array its input is
 
             def views(entries):
-                if entries is None:  # the layer allocates its own
-                    return None
                 out = {}
                 for name, (at, shp, dt) in entries.items():
                     if (at, shp, dt) not in made:
@@ -243,13 +231,12 @@ class Model:
                 return out
 
             self._plans[key] = _Plan([views(e) for e in fwd],
-                                     [views(e) for e in bwd], fresh)
+                                     [views(e) for e in bwd])
         return self._plans[key]
 
     def _layout(self, train, frontier, shape, dtype):
         """Arena offsets of every node's buffers: ([{name: (offset, shape,
-        dtype)} or None per node] for forward and for backward, the fresh
-        sums, bytes).
+        dtype)} per node] for forward and for backward, bytes).
 
         Time runs over the forwards in node order, then the backward walk
         as `backward` makes it. A buffer lives from the call that writes it
@@ -257,15 +244,15 @@ class Model:
         forward (its backward, when that layer's cache is its input), a
         cache to its layer's backward, a gradient to the backward that
         consumes it, scratch for its call. A layer's `inplace` buffer is
-        its first input's buffer when it is that input's sole reader and
-        nothing reads the buffer later. The last node and the nodes that
-        feed it (the logits) allocate their own arrays, which callers keep.
-        Offsets are greedy by size (Pisarchyk & Lee 2020): the largest
-        buffer first, each into the smallest gap left by the buffers placed
-        so far whose lives overlap its own. Where node idx's input gradient
-        meets a pending gradient of input i that another pending gradient
-        holds too (Add.backward hands one array to both its inputs), the
-        sum goes into a fresh array: (idx, i) is in the fresh sums.
+        its first input's buffer when no later call reads that buffer.
+        Each input gradient a backward hands down is its own buffer or the
+        gradient it consumed (`Buffers.grad`), so every gradient in flight
+        belongs to one pending input; a second gradient for that input is
+        read at the backward that adds it in. Offsets are greedy by size
+        (Pisarchyk & Lee 2020): the largest buffer first, each into the
+        smallest gap left by the buffers placed so far whose lives overlap
+        its own. The model input and the upstream gradient are the
+        caller's and take no bytes.
         """
         n = len(self.nodes)
         back = 2 * n - 1  # node j's backward runs at time back - j
@@ -281,8 +268,7 @@ class Model:
                 if i >= 0:
                     held = specs[j].holds and i == node.inputs[0]
                     last[i] = max(last[i], back - j if held else j)
-        outside = {n - 1, *self.nodes[-1].inputs}
-        life = []  # [first call, last call, bytes or None (outside)]
+        life = []  # [first call, last call, bytes or None (the caller's)]
 
         def buffer(t, nbytes):
             life.append([t, t, nbytes])
@@ -294,22 +280,15 @@ class Model:
         def nbytes(shp, dt):
             return int(np.prod(shp)) * np.dtype(dt).itemsize
 
-        fwd, bwd = [None] * n, [None] * n
+        fwd, bwd = [{} for _ in range(n)], [{} for _ in range(n)]
         outb = [None] * n
-        fresh = set()
         model_input = buffer(0, None)
         for j, node in enumerate(self.nodes):
             spec, first = specs[j], node.inputs[0]
             src = model_input if first < 0 else outb[first]
-            if j in outside:
-                outb[j] = buffer(j, None)
-                read(outb[j], last[j])
-                continue
-            fwd[j] = {}
             for name, (shp, dt, role) in spec.fwd.items():
                 size = nbytes(shp, dt)
                 if (name == spec.inplace and life[src][2] == size
-                        and self.nodes[first].readers == 1
                         and life[src][1] <= j):
                     b = src
                 else:
@@ -330,26 +309,17 @@ class Model:
                     continue
                 t, spec, node = back - idx, specs[idx], self.nodes[idx]
                 read(g, t)
-                if idx in outside:
-                    d = buffer(t, None)
-                else:
-                    bwd[idx] = {name: buffer(t, nbytes(shp, dt))
-                                for name, (shp, dt) in spec.bwd.items()}
-                    d = (g if spec.grad is None else
-                         bwd[idx].get(spec.grad, fwd[idx].get(spec.grad)))
+                bwd[idx] = {name: buffer(t, nbytes(shp, dt))
+                            for name, (shp, dt) in spec.bwd.items()}
                 if idx == frontier:
                     break
-                for i in node.inputs:
+                for i, name in zip(node.inputs, spec.grad):
                     if i < frontier:
                         continue
-                    if i not in pending:
-                        pending[i] = d
-                    elif any(v == pending[i] for k, v in pending.items()
-                             if k != i):
-                        read(pending[i], t)
-                        pending[i] = buffer(t, None)
-                        fresh.add((idx, i))
+                    d = (g if name is None else
+                         bwd[idx].get(name, fwd[idx].get(name)))
                     read(d, t)
+                    pending.setdefault(i, d)
         offsets = self._offsets(life)
 
         def entries(names, specs_of):
@@ -357,11 +327,8 @@ class Model:
                            np.dtype(specs_of[name][1]))
                     for name, b in names.items()}
 
-        return ([None if fwd[j] is None else entries(fwd[j], specs[j].fwd)
-                 for j in range(n)],
-                [None if bwd[j] is None else entries(bwd[j], specs[j].bwd)
-                 for j in range(n)],
-                frozenset(fresh),
+        return ([entries(fwd[j], specs[j].fwd) for j in range(n)],
+                [entries(bwd[j], specs[j].bwd) for j in range(n)],
                 max([o + life[b][2] for b, o in offsets.items()], default=0))
 
     @staticmethod

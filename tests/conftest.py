@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,26 @@ def synthetic_arrays(per_class=20, seed=42, noise=20.0):
 @pytest.fixture(scope="session")
 def synthetic_120():
     return synthetic_arrays(per_class=20, seed=42)
+
+
+def lone_views(layer, x, train=False, keep=True):
+    """(forward, backward) arrays of `layer` for an input like x: one
+    fresh array per buffer its `buffers()` lists, as a one-node plan hands
+    them, so none is x's memory."""
+    spec = layer.buffers(x.shape, x.dtype, train, keep)
+    return ({name: np.empty(shape, dtype)
+             for name, (shape, dtype, _) in spec.fwd.items()},
+            {name: np.empty(shape, dtype)
+             for name, (shape, dtype) in spec.bwd.items()})
+
+
+def alone(layer, *inputs, train=False, rng=None, keep=True):
+    """Run layer.forward(*inputs) into the arrays of `lone_views`:
+    (output, backward), where backward(upstream, ...) runs layer.backward
+    into the same plan's backward arrays."""
+    fwd, bwd = lone_views(layer, inputs[0], train, keep)
+    y = layer.forward(*inputs, train=train, rng=rng, out=fwd, keep=keep)
+    return y, functools.partial(layer.backward, out=bwd)
 
 
 # Acceptance criteria record one verdict line each; the hook prints them in

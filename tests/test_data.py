@@ -32,15 +32,14 @@ def coco_doc(annotations, categories=None, images=None):
 
 class TestParseCoco:
     def test_empty(self):
-        records, skipped = data.parse_coco(coco_doc([]))
-        assert records == [] and skipped == 0
+        assert data.parse_coco(coco_doc([])) == []
 
     def test_two_boxes_one_image(self):
         doc = coco_doc([
             {"id": 1, "image_id": 9, "category_id": 3, "bbox": [0, 0, 5, 5]},
             {"id": 2, "image_id": 9, "category_id": 3, "bbox": [4, 4, 6, 6]},
         ])
-        records, _ = data.parse_coco(doc)
+        records = data.parse_coco(doc)
         assert len(records) == 2
         assert {r.image_id for r in records} == {9}
         assert all(r.class_name == "Male Adult" for r in records)
@@ -50,7 +49,7 @@ class TestParseCoco:
             [{"id": 1, "image_id": 1, "category_id": 0,
               "bbox": [1, 1, 2, 2]}],
             categories=[{"id": 0, "name": "female teenager"}])
-        records, _ = data.parse_coco(doc)
+        records = data.parse_coco(doc)
         assert records[0].class_name == "Female Teenager"
 
     def test_unknown_category_name(self):
@@ -84,8 +83,8 @@ class TestParseCoco:
             {"id": 3, "image_id": 1, "category_id": 0, "bbox": None},
             {"id": 4, "image_id": 1, "category_id": 0, "bbox": []},
         ])
-        records, skipped = data.parse_coco(doc)
-        assert len(records) == 1 and skipped == 3
+        records = data.parse_coco(doc)
+        assert [r.ann_id for r in records] == [1]
 
     @pytest.mark.parametrize("bbox", [[0, 0, 5], [0, 0, 5, 5, 5], 0, "",
                                       False, {}])
@@ -101,7 +100,7 @@ class TestParseCoco:
             {"id": 5, "image_id": 1, "category_id": 0, "bbox": [0, 0, 3, 3]},
             {"id": 2, "image_id": 1, "category_id": 1, "bbox": [0, 0, 3, 3]},
         ])
-        records, _ = data.parse_coco(doc)
+        records = data.parse_coco(doc)
         assert [r.ann_id for r in records] == [2, 5]
 
 

@@ -9,6 +9,8 @@ from pednet import models, optim
 from pednet import tensor as T
 from pednet.errors import ShapeError, StateError
 
+from conftest import alone, lone_views
+
 RTOL = 1e-4
 ATOL = 1e-6
 
@@ -19,12 +21,12 @@ def finite_difference_check(layer, x, dropout_seed=None, eps=1e-5):
     def run():
         rng = (np.random.default_rng(dropout_seed)
                if dropout_seed is not None else None)
-        return layer.forward(x, train=True, rng=rng)
+        return alone(layer, x, train=True, rng=rng)
 
-    y = run()
+    y, backward = run()
     upstream = np.random.default_rng(7).random(y.shape)
     layer.zero_grads()
-    dx = layer.backward(upstream)
+    dx = backward(upstream)
 
     def assert_close(numeric, analytic, what):
         err = abs(numeric - analytic)
@@ -35,9 +37,9 @@ def finite_difference_check(layer, x, dropout_seed=None, eps=1e-5):
     for _ in it:
         i = it.multi_index
         x[i] += eps
-        up = run()
+        up = run()[0]
         x[i] -= 2 * eps
-        down = run()
+        down = run()[0]
         x[i] += eps
         numeric = float(((up - down) * upstream).sum() / (2 * eps))
         assert_close(numeric, float(dx[i]), f"d/dx{i}")
@@ -47,9 +49,9 @@ def finite_difference_check(layer, x, dropout_seed=None, eps=1e-5):
         for _ in it:
             i = it.multi_index
             p[i] += eps
-            up = run()
+            up = run()[0]
             p[i] -= 2 * eps
-            down = run()
+            down = run()[0]
             p[i] += eps
             numeric = float(((up - down) * upstream).sum() / (2 * eps))
             assert_close(numeric, float(grad[i]), f"d/d{pname}{i}")
@@ -57,41 +59,41 @@ def finite_difference_check(layer, x, dropout_seed=None, eps=1e-5):
 
 class TestForwardSemantics:
     def test_relu(self):
-        out = L.ReLU().forward(np.array([-2.0, 0.0, 3.0]))
+        out, _ = alone(L.ReLU(), np.array([-2.0, 0.0, 3.0]))
         assert out.tolist() == [0.0, 0.0, 3.0]
 
     def test_globalavgpool(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)
-        assert L.GlobalAvgPool().forward(x).tolist() == [[2.5]]
+        assert alone(L.GlobalAvgPool(), x)[0].tolist() == [[2.5]]
 
     def test_dropout_eval_identity(self):
         x = np.random.default_rng(0).random((4, 7), dtype=np.float32)
-        out = L.Dropout(0.3).forward(x, train=False)
+        out, _ = alone(L.Dropout(0.3), x)
         assert np.array_equal(out, x)
 
     def test_softmax_uniform(self):
-        out = L.Softmax().forward(np.zeros((1, 6)))
+        out, _ = alone(L.Softmax(), np.zeros((1, 6)))
         assert np.allclose(out, 1 / 6, atol=1e-12)
 
     def test_softmax_rows_sum_to_one(self):
         x = np.random.default_rng(3).standard_normal((20, 6)) * 10
-        out = L.Softmax().forward(x)
+        out, _ = alone(L.Softmax(), x)
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-6)
         assert np.all(out > 0) and np.all(out < 1)
 
     def test_maxpool_values(self):
         x = np.arange(16.0).reshape(1, 4, 4, 1)
-        out = L.MaxPool2D(2, 2).forward(x)
+        out, _ = alone(L.MaxPool2D(2, 2), x)
         assert out.reshape(2, 2).tolist() == [[5.0, 7.0], [13.0, 15.0]]
 
     def test_conv_shape_mismatch(self):
         conv = L.Conv2D(4, 3, in_channels=3, seed=0)
         with pytest.raises(ShapeError):
-            conv.forward(np.zeros((1, 5, 5, 2)))
+            alone(conv, np.zeros((1, 5, 5, 2)))
 
     def test_backward_before_forward(self):
         with pytest.raises(StateError):
-            L.ReLU().backward(np.ones(3))
+            L.ReLU().backward(np.ones(3), out={})
 
     @pytest.mark.parametrize("kind", ["conv2d", "relu", "maxpool2d", "dense",
                                       "dropout"])
@@ -103,25 +105,26 @@ class TestForwardSemantics:
             "dense": (L.Dense(3, 2, seed=0), np.ones((2, 2))),
             "dropout": (L.Dropout(0.3), np.ones((2, 2))),
         }[kind]
-        y = layer.forward(x, train=True, rng=np.random.default_rng(0))
-        layer.forward(x, train=False)  # drops the train-mode cache
+        y, backward = alone(layer, x, train=True,
+                            rng=np.random.default_rng(0))
+        alone(layer, x)  # drops the train-mode cache
         assert layer.cache is None
         with pytest.raises(StateError):
-            layer.backward(np.ones_like(y))
+            backward(np.ones_like(y))
 
 
 class TestBackwardSemantics:
     def test_relu_subgradient_zero_at_nonpositive(self):
         relu = L.ReLU()
-        relu.forward(np.array([-2.0, 0.0, 3.0]), train=True)
-        assert relu.backward(np.ones(3)).tolist() == [0.0, 0.0, 1.0]
+        _, backward = alone(relu, np.array([-2.0, 0.0, 3.0]), train=True)
+        assert backward(np.ones(3)).tolist() == [0.0, 0.0, 1.0]
 
     def test_dense_zero_upstream(self):
         dense = L.Dense(3, 4, seed=1, dtype=np.float64)
         x = np.random.default_rng(0).random((2, 4))
-        dense.forward(x, train=True)
+        _, backward = alone(dense, x, train=True)
         dense.zero_grads()
-        dx = dense.backward(np.zeros((2, 3)))
+        dx = backward(np.zeros((2, 3)))
         assert np.all(dx == 0)
         assert np.all(dense.grads["weight"] == 0)
         assert np.all(dense.grads["bias"] == 0)
@@ -129,8 +132,8 @@ class TestBackwardSemantics:
     def test_maxpool_routes_to_argmax(self):
         pool = L.MaxPool2D(2, 2)
         x = np.arange(16.0).reshape(1, 4, 4, 1)
-        pool.forward(x, train=True)
-        dx = pool.backward(np.ones((1, 2, 2, 1)))
+        _, backward = alone(pool, x, train=True)
+        dx = backward(np.ones((1, 2, 2, 1)))
         got = dx.reshape(4, 4)
         assert got.sum() == 4.0
         assert got[1, 1] == got[1, 3] == got[3, 1] == got[3, 3] == 1.0
@@ -171,11 +174,11 @@ class TestMaxPoolWindows:
         else:  # every cell ties; a zero-padded cell would win instead
             x = np.full(shape, -5.0)
         pool = L.MaxPool2D(kernel, stride, padding)
-        out = pool.forward(x, train=True)
+        out, backward = alone(pool, x, train=True)
         upstream = rng.random(out.shape)
         want_out, want_dx = first_max_pool(x, kernel, stride, padding,
                                            upstream)
-        dx = pool.backward(upstream)
+        dx = backward(upstream)
         assert np.array_equal(out, want_out)
         assert np.array_equal(dx, want_dx)
         # no window's gradient is lost on a padded cell
@@ -260,7 +263,7 @@ class TestMaxPoolSlices:
         rng = np.random.default_rng(extent)
         x = _tied_input(fill, extent, dtype, rng)
         pool = L.MaxPool2D(kernel, stride, padding)
-        out = pool.forward(x, train=True)
+        out, backward = alone(pool, x, train=True)
         upstream = rng.standard_normal(out.shape).astype(dtype)
         upstream[0, 0, 0] = -0.0
         want, want_arg, want_dx = window_path_pool(x, kernel, stride, padding,
@@ -268,7 +271,7 @@ class TestMaxPoolSlices:
         assert out.dtype == dtype and out.tobytes() == want.tobytes()
         # the same first maximum of every window
         assert np.array_equal(pool.cache[0], want_arg)
-        dx = pool.backward(upstream)
+        dx = backward(upstream)
         assert dx.dtype == dtype and dx.shape == x.shape
         assert dx.tobytes() == want_dx.tobytes()
 
@@ -278,14 +281,14 @@ class TestMaxPoolSlices:
         window-view path's. The output is compared by value: the sign of a
         zero maximum depends on the order the maxima are folded in."""
         pool = L.MaxPool2D(kernel, stride, padding)
-        out = pool.forward(x, train=True)
+        out, backward = alone(pool, x, train=True)
         upstream = np.random.default_rng(1).standard_normal(
             out.shape).astype(x.dtype)
         want, want_arg, want_dx = window_path_pool(x, kernel, stride, padding,
                                                    upstream)
         assert np.array_equal(out, want)
         assert np.array_equal(pool.cache[0], want_arg)
-        assert pool.backward(upstream).tobytes() == want_dx.tobytes()
+        assert backward(upstream).tobytes() == want_dx.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("extent", [12, 13])
@@ -318,8 +321,8 @@ class TestMaxPoolSlices:
         x = _tied_input(fill, extent, dtype, np.random.default_rng(extent))
         _signed_zero_window(x)
         pool = L.MaxPool2D(kernel, stride, padding)
-        train_out = pool.forward(x, train=True)
-        eval_out = pool.forward(x, train=False)
+        train_out, _ = alone(pool, x, train=True)
+        eval_out, _ = alone(pool, x)
         assert pool.cache is None  # no first-max index
         assert eval_out.dtype == dtype
         assert eval_out.tobytes() == train_out.tobytes()
@@ -329,7 +332,7 @@ class TestMaxPoolSlices:
     def test_one_cell_pool_output_is_fresh(self, padding, train):
         """A 1x1 pool's one slice is its input; its output is a copy."""
         x = np.random.default_rng(0).random((2, 5, 4, 3), np.float32)
-        out = L.MaxPool2D(1, 1, padding).forward(x, train=train)
+        out, _ = alone(L.MaxPool2D(1, 1, padding), x, train=train)
         assert not np.may_share_memory(out, x)
         assert out.tobytes() == x.tobytes()
 
@@ -343,7 +346,7 @@ class TestConvWindows:
         x = rng.standard_normal((2, 9, 8, 3))
         conv = L.Conv2D(4, kernel, in_channels=3, stride=stride, seed=3,
                         dtype=np.float64)
-        out = conv.forward(x)
+        out, _ = alone(conv, x)
         (pt, pb), (pl, pr) = T.pad_amounts(9, 8, kernel, stride, padding)
         xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
         want = np.empty(out.shape)
@@ -362,12 +365,13 @@ class TestConvWindows:
         forward = L.Conv2D.forward
         checked = []
 
-        def check(conv, x, train=False, rng=None, out=None, keep=True):
+        def check(conv, x, train=False, rng=None, *, out, keep=True):
             outs = []
             for budget in (1, 2 ** 40):
                 monkeypatch.setattr(L, "COL_BUDGET", budget)
-                outs.append(forward(conv, x))
-            outs.append(forward(conv, x, train=True))
+                outs.append(forward(conv, x, out=lone_views(conv, x)[0]))
+            outs.append(forward(conv, x, train=True,
+                                out=lone_views(conv, x, train=True)[0]))
             outs.append(whole_columns(conv) @ conv.params["weight"].reshape(
                 -1, conv.filters) + conv.params["bias"])
             conv.cache = None
@@ -395,7 +399,7 @@ class TestConvWindows:
                                             np.float32)
         tracemalloc.start()
         try:
-            conv.forward(x)
+            alone(conv, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -404,21 +408,21 @@ class TestConvWindows:
     def test_pointwise_conv_caches_view_of_input(self):
         conv = L.Conv2D(4, 1, in_channels=3, seed=0)
         x = np.random.default_rng(0).random((2, 5, 5, 3), np.float32)
-        conv.forward(x, train=True)
+        alone(conv, x, train=True)
         assert np.shares_memory(conv.cache[0], x)
 
     def test_pointwise_conv_backward_skips_scatter(self, monkeypatch):
         conv = L.Conv2D(4, 1, in_channels=3, seed=0)
         rng = np.random.default_rng(1)
         x = rng.random((2, 5, 5, 3), np.float32)
-        conv.forward(x, train=True)
+        _, backward = alone(conv, x, train=True)
         upstream = rng.standard_normal((2, 5, 5, 4)).astype(np.float32)
         upstream[0, 0, 0] = -0.0
         dcol = upstream.reshape(-1, 4) @ conv.params["weight"].reshape(3, 4).T
         want = scatter_windows(dcol.reshape(2, 5, 5, 1, 1, 3), x.shape, 1,
                                ((0, 0), (0, 0)))
         monkeypatch.setattr(L, "_col2im", None)  # must not be called
-        dx = conv.backward(upstream)
+        dx = backward(upstream)
         assert dx.dtype == np.float32
         assert dx.tobytes() == want.tobytes()  # the sign of zeros too
 
@@ -469,10 +473,10 @@ class TestConvInputGradient:
         backward = L.Conv2D.backward
         checked, weights = [], []
 
-        def check(conv, upstream, input_grad=True, out=None):
+        def check(conv, upstream, input_grad=True, *, out):
             want_w = column_weight_grad(conv, upstream)
             want = column_input_grad(conv, upstream) if input_grad else None
-            dx = backward(conv, upstream, input_grad, out)
+            dx = backward(conv, upstream, input_grad, out=out)
             assert conv.grads["weight"].tobytes() == want_w.tobytes(), conv
             weights.append(conv)
             if input_grad:
@@ -502,13 +506,14 @@ class TestConvInputGradient:
         conv = L.Conv2D(5, kernel, in_channels=4, stride=stride, seed=2,
                         dtype=np.float64)
         rng = np.random.default_rng(3)
-        y = conv.forward(rng.standard_normal((2, 9, 8, 4)), train=True)
+        y, backward = alone(conv, rng.standard_normal((2, 9, 8, 4)),
+                            train=True)
         upstream = rng.standard_normal(y.shape)
         upstream[0, 0, 0] = -0.0
         want_w = column_weight_grad(conv, upstream)
         input_grad = kernel != 7
         want = column_input_grad(conv, upstream) if input_grad else None
-        dx = conv.backward(upstream, input_grad)
+        dx = backward(upstream, input_grad)
         assert conv.grads["weight"].dtype == np.float64
         assert conv.grads["weight"].tobytes() == want_w.tobytes()
         if input_grad:
@@ -523,7 +528,7 @@ class TestConvInputGradient:
         conv = L.Conv2D(4, kernel, in_channels=3, stride=stride, seed=0)
         x = np.random.default_rng(0).random((2, extent, extent, 3),
                                             np.float32)
-        conv.forward(x, train=True)
+        alone(conv, x, train=True)
         xp, in_shape, pads = conv.cache
         assert in_shape == x.shape
         assert pads == T.pad_amounts(extent, extent, kernel, stride,
@@ -536,29 +541,33 @@ class TestConvInputGradient:
     def test_no_column_matrix_survives(self):
         """Model 8's block2_conv at batch 8 keeps its 2.7 MB padded input
         from forward to backward, not its 22 MB column matrix, and its
-        backward leaves nothing behind but the padded input gradient it
-        returns a view of. Called without a plan's views, the conv
-        allocates its own and drops its scratch when it returns."""
+        backward returns a view of the padded input gradient it is handed.
+        Beyond the views a plan hands it, neither call leaves anything
+        behind."""
         conv = L.Conv2D(64, 3, in_channels=32, seed=0)
         rng = np.random.default_rng(0)
         x = rng.random((8, 49, 49, 32), np.float32)
         upstream = rng.standard_normal((8, 49, 49, 64)).astype(np.float32)
-        conv.forward(x, train=True)
-        conv.backward(upstream)  # what a first call allocates for good
+        fwd, bwd = lone_views(conv, x, train=True)
+        conv.forward(x, train=True, out=fwd)
+        conv.backward(upstream, out=bwd)  # what a first call allocates
         tracemalloc.start()
         try:
-            y = conv.forward(x, train=True)
+            y = conv.forward(x, train=True, out=fwd)
             after_forward = tracemalloc.get_traced_memory()[0]
-            dx = conv.backward(upstream)
+            cached = sum(a.nbytes for a in conv.cache
+                         if isinstance(a, np.ndarray))
+            dx = conv.backward(upstream, out=bwd)
             conv.cache = None
             after_backward = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         padded = 8 * 51 * 51 * 32 * 4  # the cache, then dx's base
         assert column_count(conv, y) * y.itemsize > 22e6
-        assert dx.base.nbytes == padded
-        assert after_forward < y.nbytes + padded + 0.1e6, after_forward
-        assert after_backward < y.nbytes + padded + 0.1e6, after_backward
+        assert cached == padded
+        assert dx.base is bwd["dx"] and dx.base.nbytes == padded
+        assert after_forward < 0.1e6, after_forward
+        assert after_backward < 0.1e6, after_backward
 
     def test_train_backward_memory_bounded(self):
         """Model 8's block2_conv at batch 8 holds one cell's gradient (2.5
@@ -570,15 +579,14 @@ class TestConvInputGradient:
                     if node.name == "block2_conv")
         rng = np.random.default_rng(0)
         x = rng.random((8, 49, 49, conv.in_channels), np.float32)
+        fwd, bwd = lone_views(conv, x, train=True)
         upstream = rng.standard_normal(
-            conv.forward(x, train=True).shape).astype(np.float32)
-        conv.backward(upstream)
-        conv.forward(x, train=True)
-        out = {name: np.empty(shape, dtype) for name, (shape, dtype) in
-               conv.buffers(x.shape, x.dtype, True, True).bwd.items()}
+            conv.forward(x, train=True, out=fwd).shape).astype(np.float32)
+        conv.backward(upstream, out=bwd)
+        conv.forward(x, train=True, out=fwd)
         tracemalloc.start()
         try:
-            conv.backward(upstream, out=out)
+            conv.backward(upstream, out=bwd)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -677,10 +685,13 @@ class TestGradients:
     def test_add(self):
         add = L.Add()
         a = np.random.default_rng(10).standard_normal((2, 3))
-        add.forward(a, a + 1.0)
-        da, db = add.backward(np.ones((2, 3)))
-        assert np.array_equal(da, np.ones((2, 3)))
-        assert np.array_equal(db, np.ones((2, 3)))
+        _, backward = alone(add, a, a + 1.0, train=True)
+        upstream = np.ones((2, 3))
+        da, db = backward(upstream)
+        assert da is upstream
+        assert np.array_equal(db, upstream)
+        # each input's gradient has one owner
+        assert not np.shares_memory(da, db)
 
 
 class TestParamCounts:
@@ -716,8 +727,8 @@ class TestBatchNormStatistics:
         bn = L.BatchNorm(4, dtype=dtype)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 3, 3, 4)).astype(dtype)
-        bn.forward(x, train=True)
-        dx = bn.backward(rng.standard_normal(x.shape).astype(dtype))
+        _, backward = alone(bn, x, train=True)
+        dx = backward(rng.standard_normal(x.shape).astype(dtype))
         assert dx.dtype == dtype
         assert all(g.dtype == dtype for g in bn.grads.values())
 
@@ -728,9 +739,9 @@ class TestBatchNormStatistics:
         bn = L.BatchNorm(4, dtype=dtype)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 3, 3, 4)).astype(dtype)
-        bn.forward(x, train=True)
+        _, backward = alone(bn, x, train=True)
         xc = bn.cache[0]
-        dx = bn.backward(rng.standard_normal(x.shape).astype(dtype))
+        dx = backward(rng.standard_normal(x.shape).astype(dtype))
         assert dx.dtype == dtype
         assert np.shares_memory(dx, xc)
         assert not np.shares_memory(dx, x)
@@ -738,15 +749,15 @@ class TestBatchNormStatistics:
     def test_no_backward_after_eval_forward(self):
         bn = L.BatchNorm(2)
         x = np.random.default_rng(0).random((2, 3, 3, 2), np.float32)
-        bn.forward(x, train=True)
-        bn.forward(x, train=False)  # must not leave the train cache behind
+        _, backward = alone(bn, x, train=True)
+        alone(bn, x)  # must not leave the train cache behind
         with pytest.raises(StateError, match="backward called before"):
-            bn.backward(np.ones_like(x))
+            backward(np.ones_like(x))
 
     def test_train_output_normalized(self):
         bn = L.BatchNorm(4, dtype=np.float64)
         x = np.random.default_rng(0).standard_normal((8, 5, 5, 4)) * 3 + 2
-        out = bn.forward(x, train=True)
+        out, _ = alone(bn, x, train=True)
         # unit scale / zero shift: per-channel mean ~ 0, var ~ 1
         assert np.all(np.abs(out.mean(axis=(0, 1, 2))) < 1e-5)
         assert np.all(np.abs(out.var(axis=(0, 1, 2)) - 1.0) < 1e-2)
@@ -754,7 +765,7 @@ class TestBatchNormStatistics:
     def test_moving_average_update(self):
         bn = L.BatchNorm(2, dtype=np.float64)
         x = np.full((4, 1, 1, 2), 10.0)
-        bn.forward(x, train=True)
+        alone(bn, x, train=True)
         assert np.allclose(bn.state["moving_mean"],
                            (1.0 - L.BN_MOMENTUM) * 10.0)
 
@@ -763,7 +774,7 @@ class TestBatchNormStatistics:
         bn.state["moving_mean"] = np.array([1.0, 2.0])
         bn.state["moving_var"] = np.array([4.0, 9.0])
         x = np.array([[[[1.0, 2.0]]]])
-        out = bn.forward(x, train=False)
+        out, _ = alone(bn, x)
         assert np.allclose(out, 0.0, atol=1e-3)
 
 
@@ -806,7 +817,7 @@ def channel_sum_shapes(model_id, batch=8):
     outs = []
     for node in model.nodes:
         args = [x if i == -1 else outs[i] for i in node.inputs]
-        outs.append(node.layer.forward(*args))
+        outs.append(alone(node.layer, *args)[0])
         if node.layer.kind == "batchnorm":
             bn.add((batch, *args[0].shape[1:]))
         elif node.layer.kind == "conv2d":
@@ -831,11 +842,11 @@ def random_batchnorm(shape):
 
 def run_batchnorm(bn, x, upstream, train):
     """The layer's values in `reference_batchnorm`'s order."""
-    out = bn.forward(x, train=train)
+    out, backward = alone(bn, x, train=train)
     stats = (out, bn.state["moving_mean"], bn.state["moving_var"])
     if not train:
         return stats
-    dx = bn.backward(upstream)
+    dx = backward(upstream)
     return (*stats, bn.grads["scale"], bn.grads["shift"], dx)
 
 
@@ -901,14 +912,14 @@ class TestDropout:
     def test_train_preserves_expectation(self):
         x = np.ones((50, 50), dtype=np.float64)
         drop = L.Dropout(0.3)
-        means = [drop.forward(x, train=True,
-                              rng=np.random.default_rng(s)).mean()
+        means = [alone(drop, x, train=True,
+                       rng=np.random.default_rng(s))[0].mean()
                  for s in range(50)]
         assert abs(np.mean(means) - 1.0) < 0.02
 
     def test_survivors_scaled(self):
         x = np.ones((100, 100))
-        out = L.Dropout(0.5).forward(x, train=True,
-                                     rng=np.random.default_rng(0))
+        out, _ = alone(L.Dropout(0.5), x, train=True,
+                       rng=np.random.default_rng(0))
         surviving = out[out != 0]
         assert np.allclose(surviving, 2.0)

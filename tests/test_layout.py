@@ -319,3 +319,45 @@ def test_no_masked_ufunc_call():
         for path in _python_files(os.path.join("src", "pednet"))
         for line in _masked_calls(_parse(path))]
     assert not offenders, "calls with where=: " + ", ".join(offenders)
+
+
+def _out_none_checks(tree):
+    """Line of each comparison with None of a parameter named `out`, in
+    the function that takes it."""
+    lines = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = func.args
+        if "out" not in {p.arg for p in a.posonlyargs + a.args
+                         + a.kwonlyargs}:
+            continue
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Compare):
+                continue
+            sides = [node.left, *node.comparators]
+            if (any(isinstance(n, ast.Name) and n.id == "out"
+                    for n in sides)
+                    and any(isinstance(n, ast.Constant) and n.value is None
+                            for n in sides)):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_self_allocating_fork():
+    """A layer writes only into the views its model's plan hands it: a
+    function that takes `out` and tests it against None would allocate
+    its own arrays when called without one, a second path beside the
+    plan."""
+    probe = ast.parse("def f(x, out=None):\n    if out is None:\n"
+                      "        out = {}\n"
+                      "def g(x):\n    out = None\n    return out is None\n"
+                      "def h(x, *, out):\n    return None == out\n"
+                      "def k(out):\n    return out.get('y') is None\n")
+    assert _out_none_checks(probe) == [2, 8]
+    offenders = [
+        f"{os.path.relpath(path, ROOT)}:{line}"
+        for path in _python_files(os.path.join("src", "pednet"))
+        for line in _out_none_checks(_parse(path))]
+    assert not offenders, ("`out` compared with None: "
+                           + ", ".join(offenders))

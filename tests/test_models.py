@@ -1,3 +1,4 @@
+import collections
 import functools
 import tracemalloc
 
@@ -8,6 +9,8 @@ from pednet import layers, models, optim
 from pednet.errors import ConfigError, StateError
 from pednet.data import one_hot
 from pednet.train import cross_entropy_loss, predict
+
+from conftest import lone_views
 
 TABLE1_COUNTS = {
     1: (24_639_878, 1_052_166),
@@ -417,20 +420,23 @@ class TestLiveness:
 
 
 def _private_inputs(model):
-    """Give every layer a private copy of each input, and fresh arrays
-    instead of the arena's: the reference in which no layer's write can
-    reach another layer."""
+    """Give every layer a private copy of each input, and fresh forward
+    arrays instead of the arena's: the reference in which no layer's write
+    can reach another layer."""
     for node in model.nodes:
-        def forward(*args, _fn=node.layer.forward, **kwargs):
-            kwargs["out"] = None
-            return _fn(*[a.copy() for a in args], **kwargs)
+        def forward(*args, _fn=node.layer.forward, _layer=node.layer,
+                    **kwargs):
+            args = [a.copy() for a in args]
+            kwargs["out"] = lone_views(_layer, args[0], kwargs["train"],
+                                       kwargs["keep"])[0]
+            return _fn(*args, **kwargs)
         node.layer.forward = forward
 
 
 class TestOwnership:
     """A layer writes an input only where the plan makes its output that
-    input's buffer: the input is an arena buffer, the layer is its sole
-    reader and nothing reads it later. The model input is never written."""
+    input's buffer: the input is an arena buffer and no later call reads
+    it. The model input is never written."""
 
     # model 8 with every layer trainable, model 1 in each phase
     CASES = ["custom", "resnet-phase1", "resnet-phase2"]
@@ -477,6 +483,8 @@ class TestOwnership:
         the add that ends the block still reads the bytes it was made
         with."""
         model, _ = _phase_model("resnet-phase2")
+        readers = collections.Counter(i for node in model.nodes
+                                      for i in node.inputs)
         made, checked = {}, []
 
         def spy(*args, _fn, _j, **kwargs):
@@ -487,7 +495,7 @@ class TestOwnership:
                 assert b.tobytes() == made[src][1], model.nodes[_j].name
                 checked.append(_j)
             out = _fn(*args, **kwargs)
-            if model.nodes[_j].readers > 1:
+            if readers[_j] > 1:
                 made[_j] = out, out.tobytes()
             return out
 
@@ -543,6 +551,67 @@ class TestOwnership:
             assert outs[f"block{b}_relu"] is outs[f"block{b}_conv"]
             assert not np.may_share_memory(outs[f"block{b}_pool"],
                                            outs[f"block{b}_relu"])
+
+
+def _meeting_graph(case):
+    """A float64 model on 1x1 convs whose gradients meet as `case` says,
+    with a GAP, dense and softmax head: `nested-adds` is add(a, add(a, c)),
+    `self-add` is add(a, a), and `diamond` joins a conv and a relu that
+    both read a in add(conv(a), relu(a))."""
+    m = models.Model("GAP")
+
+    def conv(name, src, seed):
+        return m.add(name, layers.Conv2D(2, 1, 3 if src < 0 else 2,
+                                         seed=seed, dtype=np.float64), [src])
+
+    a = conv("a", -1, 1)
+    if case == "nested-adds":
+        inner = m.add("inner", layers.Add(), [a, conv("c", -1, 2)])
+        m.add("outer", layers.Add(), [a, inner])
+    elif case == "self-add":
+        m.add("add", layers.Add(), [a, a])
+    else:
+        b = conv("b", a, 2)
+        m.add("add", layers.Add(), [b, m.add("relu", layers.ReLU(), [a])])
+    m.add("gap", layers.GlobalAvgPool())
+    m.add("dense", layers.Dense(models.NUM_CLASSES, 2, seed=3,
+                                dtype=np.float64))
+    m.add("softmax", layers.Softmax())
+    return m
+
+
+class TestMeetingGradients:
+    """Where gradients meet (two inputs of one add, an add inside an add,
+    a node two layers read), the float64 analytic gradient of every
+    parameter equals central differences of sum(logits * u)."""
+
+    @pytest.mark.parametrize("case", ["nested-adds", "self-add", "diamond"])
+    def test_matches_central_differences(self, case):
+        model = _meeting_graph(case)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((2, *models.INPUT_SPEC))
+        u = rng.standard_normal((2, models.NUM_CLASSES))
+
+        def loss():
+            model.forward(x, train=True)
+            return float((model.nodes[-1].layer.logits * u).sum())
+
+        loss()
+        model.zero_grads()
+        model.backward(u.copy())
+        eps = 1e-6
+        for name, layer, p in model.named_params():
+            param, numeric = layer.params[p], np.empty(layer.params[p].shape)
+            for i in np.ndindex(param.shape):
+                was = param[i]
+                param[i] = was + eps
+                up = loss()
+                param[i] = was - eps
+                down = loss()
+                param[i] = was
+                numeric[i] = (up - down) / (2 * eps)
+            np.testing.assert_allclose(layer.grads[p], numeric, rtol=1e-5,
+                                       atol=1e-8, err_msg=f"{case} {name}")
 
 
 def _steady_bytes(step):

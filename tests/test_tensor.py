@@ -9,6 +9,8 @@ from pednet import layers as L
 from pednet import tensor as T
 from pednet.errors import NumericError, ShapeError
 
+from conftest import alone
+
 
 class TestCreation:
     def test_he_normal_std(self):
@@ -47,7 +49,7 @@ class TestCreation:
 def _pool_extent(extent, kernel, stride, padding):
     """Output height a max-pool layer produces on an extent x extent map."""
     x = np.zeros((1, extent, extent, 1), np.float32)
-    return L.MaxPool2D(kernel, stride, padding).forward(x).shape[1]
+    return alone(L.MaxPool2D(kernel, stride, padding), x)[0].shape[1]
 
 
 class TestOutExtent:
@@ -55,8 +57,8 @@ class TestOutExtent:
         # same_ceil at stride 1 keeps the extent
         assert T.pad_amounts(99, 99, 3, 1, T.SAME_CEIL) == ((1, 1), (1, 1))
         conv = L.Conv2D(2, 3, 1, stride=1)
-        assert conv.forward(np.zeros((1, 99, 99, 1), np.float32)).shape == \
-            (1, 99, 99, 2)
+        assert alone(conv, np.zeros((1, 99, 99, 1), np.float32))[0].shape \
+            == (1, 99, 99, 2)
 
     def test_valid_floor_chain(self):
         # pooling chain forced by the MP-head flatten width 3*3*256
@@ -72,8 +74,8 @@ class TestOutExtent:
         # the odd padding pixel goes after (bottom/right)
         assert T.pad_amounts(99, 98, 7, 2, T.SAME_CEIL) == ((3, 3), (2, 3))
         conv = L.Conv2D(2, 7, 1, stride=2)
-        assert conv.forward(np.zeros((1, 99, 98, 1), np.float32)).shape == \
-            (1, 50, 49, 2)
+        assert alone(conv, np.zeros((1, 99, 98, 1), np.float32))[0].shape \
+            == (1, 50, 49, 2)
 
     @pytest.mark.parametrize("padding", ["same", "same_preserving"])
     def test_unknown_padding_mode(self, padding):
