@@ -17,10 +17,6 @@ class StateError(PednetError):
     """Operation called out of order (e.g. backward before forward)."""
 
 
-class OptimizerError(PednetError):
-    """Parameter/slot shape mismatch inside an optimizer step."""
-
-
 class ConfigError(PednetError):
     """Invalid model id, phase, or run configuration."""
 

@@ -1,8 +1,9 @@
 """Layer vocabulary: conv, batchnorm, relu, pooling, dense, dropout, softmax.
 
 Every layer carries its parameters, gradient buffers, a trainable flag, and a
-forward cache used by backward. Only a train-mode forward told to `keep` one
-fills the arrays a backward reads; an eval forward keeps none of them. A conv
+forward cache used by backward. A forward fills the arrays a backward reads
+only when told to `keep` them, and `Model`'s plan decides that: a train
+forward at or above the frontier keeps, any other forward keeps none. A conv
 caches its padded input, not its column matrix; its backward rebuilds the
 columns. Feature maps are (N, H, W, C) float arrays.
 
@@ -150,7 +151,10 @@ def _first_max(arrays, out, arg=None, later=None):
 class Layer:
     """Base: parameter registry, gradient buffers, trainable flag, cache.
     Each kind defines buffers(shape, dtype, train, keep), forward(x, train,
-    rng, out, keep) and backward(upstream, out)."""
+    rng, *, out, keep) and backward(upstream, *, out). `train` picks the
+    arithmetic (batch statistics, dropout); `keep`, which only a train
+    forward is given, alone decides whether the forward caches what
+    backward reads."""
 
     kind = "layer"
 
@@ -165,11 +169,6 @@ class Layer:
     def _require_cache(self):
         if self.cache is None:
             raise StateError(f"{self.kind}: backward called before forward")
-
-    def zero_grads(self):
-        """Zero the gradient buffers in place, keeping their dtype."""
-        for g in self.grads.values():
-            g.fill(0)
 
     def param_count(self):
         """(trainable, non_trainable) scalar counts for the ledger."""
@@ -206,10 +205,9 @@ class Conv2D(Layer):
         k, s = self.kernel, self.stride
         _, padded, y, step = self._geometry(shape, dtype)
         dt = np.result_type(dtype, self.params["weight"].dtype)
-        kept = train and keep
         fwd = {"y": (y, dt, OUT)}
         if padded != shape:
-            fwd["xp"] = (padded, dtype, CACHE if kept else TEMP)
+            fwd["xp"] = (padded, dtype, CACHE if keep else TEMP)
         kkc, cells = k * k * c, n * y[1] * y[2]
         bwd = {"dw": ((kkc, self.filters), dt)}
         if k == 1 and s == 1:
@@ -218,17 +216,17 @@ class Conv2D(Layer):
             fwd["col"] = ((step * y[1] * y[2], kkc), dtype, TEMP)
             bwd.update(col=((cells, kkc), dtype), cell=((cells, c), dt),
                        dx=(padded, dt))
-        return Buffers(y, fwd, bwd if kept else {},
-                       holds=kept and padded == shape, grad=("dx",))
+        return Buffers(y, fwd, bwd if keep else {},
+                       holds=keep and padded == shape, grad=("dx",))
 
-    def forward(self, x, train=False, rng=None, *, out, keep=True):
+    def forward(self, x, train=False, rng=None, *, out, keep):
         if x.ndim != 4 or x.shape[3] != self.in_channels:
             raise ShapeError(f"conv2d expects (N,H,W,{self.in_channels}), got {x.shape}")
         pads, _, _, step = self._geometry(x.shape, x.dtype)
         xp = _pad(x, pads, 0.0, out.get("xp"))
         # backward rebuilds the columns from the padded input: x itself when
         # nothing is padded, which the plan keeps intact until then
-        self.cache = (xp, x.shape, pads) if train and keep else None
+        self.cache = (xp, x.shape, pads) if keep else None
         col = _windows(xp, self.kernel, self.stride)
         w2 = self.params["weight"].reshape(-1, self.filters)
         bias = self.params["bias"]
@@ -313,7 +311,7 @@ class BatchNorm(Layer):
         return Buffers(shape, {"xc": xc, "y": y}, {}, inplace="xc",
                        grad=("xc",))
 
-    def forward(self, x, train=False, rng=None, *, out, keep=True):
+    def forward(self, x, train=False, rng=None, *, out, keep):
         if x.ndim != 4 or x.shape[3] != self.channels:
             raise ShapeError(f"batchnorm expects (N,H,W,{self.channels}), got {x.shape}")
         if not train:
@@ -365,17 +363,15 @@ class ReLU(Layer):
     kind = "relu"
 
     def buffers(self, shape, dtype, train, keep):
-        kept = train and keep
         fwd = {"y": (shape, dtype, OUT)}
-        if kept:
+        if keep:
             fwd["mask"] = (shape, np.bool_, CACHE)
-        return Buffers(shape, fwd, {"dx": (shape, dtype)} if kept else {},
+        return Buffers(shape, fwd, {"dx": (shape, dtype)} if keep else {},
                        inplace="y", grad=("dx",))
 
-    def forward(self, x, train=False, rng=None, *, out, keep=True):
+    def forward(self, x, train=False, rng=None, *, out, keep):
         # subgradient at 0 is 0
-        self.cache = (np.greater(x, 0, out=out["mask"]) if train and keep
-                      else None)
+        self.cache = np.greater(x, 0, out=out["mask"]) if keep else None
         return np.maximum(x, 0, out=out["y"])
 
     def backward(self, upstream, *, out):
@@ -390,7 +386,7 @@ class MaxPool2D(Layer):
     Cell (i, j) of every window is one strided slice of the padded input, so
     the pool compares kernel*kernel slices elementwise. Overlapping windows
     (the ResNet stem's 3x3/2) only make backward add where cells coincide.
-    A train forward that keeps its cache also builds the uint8 first-max
+    A forward that keeps its cache also builds the uint8 first-max
     index, with uint8 arithmetic on whole slices (see `_first_max`); one
     that keeps none folds the same maxima without it. The output never
     shares the input's memory.
@@ -410,13 +406,13 @@ class MaxPool2D(Layer):
         fwd = {"y": (y, dtype, OUT)}
         if padded != shape:
             fwd["xp"] = (padded, dtype, TEMP)
-        if not (train and keep):
+        if not keep:
             return Buffers(y, fwd, {})
         fwd.update(arg=(y, np.uint8, CACHE), later=(y, np.uint8, TEMP))
         return Buffers(y, fwd, {"routed": (y, dtype), "hit": (y, np.bool_),
                                 "dx": (padded, dtype)}, grad=("dx",))
 
-    def forward(self, x, train=False, rng=None, *, out, keep=True):
+    def forward(self, x, train=False, rng=None, *, out, keep):
         if x.ndim != 4:
             raise ShapeError(f"maxpool2d expects rank-4 input, got {x.shape}")
         k, s = self.kernel, self.stride
@@ -424,7 +420,7 @@ class MaxPool2D(Layer):
         win = _windows(_pad(x, pads, -np.inf, out.get("xp")), k, s)
         y = _first_max([win[:, :, :, i, j] for i in range(k) for j in range(k)],
                        out["y"], out.get("arg"), out.get("later"))
-        self.cache = (out["arg"], x.shape, pads) if train and keep else None
+        self.cache = (out["arg"], x.shape, pads) if keep else None
         return y
 
     def backward(self, upstream, *, out):
@@ -445,10 +441,10 @@ class GlobalAvgPool(Layer):
     def buffers(self, shape, dtype, train, keep):
         y = (shape[0], shape[3])
         return Buffers(y, {"y": (y, dtype, OUT)},
-                       {"dx": (shape, dtype)} if train and keep else {},
+                       {"dx": (shape, dtype)} if keep else {},
                        grad=("dx",))
 
-    def forward(self, x, train=False, rng=None, *, out, keep=True):
+    def forward(self, x, train=False, rng=None, *, out, keep):
         if x.ndim != 4:
             raise ShapeError(f"globalavgpool expects rank-4 input, got {x.shape}")
         self.cache = x.shape if keep else None
@@ -468,7 +464,7 @@ class Flatten(Layer):
     def buffers(self, shape, dtype, train, keep):
         return Buffers((shape[0], int(np.prod(shape[1:]))), {}, {})
 
-    def forward(self, x, train=False, rng=None, *, out, keep=True):
+    def forward(self, x, train=False, rng=None, *, out, keep):
         self.cache = x.shape if keep else None
         return x.reshape(x.shape[0], -1)
 
@@ -490,15 +486,14 @@ class Dense(Layer):
         weight = self.params["weight"]
         dt = np.result_type(dtype, weight.dtype)
         y = (shape[0], self.units)
-        kept = train and keep
         return Buffers(y, {"y": (y, dt, OUT)},
                        {"dw": (weight.shape, dt), "dx": (shape, dt)}
-                       if kept else {}, holds=kept, grad=("dx",))
+                       if keep else {}, holds=keep, grad=("dx",))
 
-    def forward(self, x, train=False, rng=None, *, out, keep=True):
+    def forward(self, x, train=False, rng=None, *, out, keep):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(f"dense expects (N,{self.in_features}), got {x.shape}")
-        self.cache = x if train and keep else None
+        self.cache = x if keep else None
         y = np.matmul(x, self.params["weight"], out=out["y"])
         y += self.params["bias"]
         return y
@@ -530,7 +525,7 @@ class Dropout(Layer):
         return Buffers(shape, fwd, {"dx": (shape, dtype)} if keep else {},
                        inplace="y", grad=("dx",))
 
-    def forward(self, x, train=False, rng=None, *, out, keep=True):
+    def forward(self, x, train=False, rng=None, *, out, keep):
         if not train:
             self.cache = None
             return x
@@ -557,7 +552,7 @@ class Softmax(Layer):
     def buffers(self, shape, dtype, train, keep):
         return Buffers(shape, {}, {})
 
-    def forward(self, x, train=False, rng=None, *, out, keep=True):
+    def forward(self, x, train=False, rng=None, *, out, keep):
         z = x - x.max(axis=-1, keepdims=True)
         e = np.exp(z)
         p = e / e.sum(axis=-1, keepdims=True)
@@ -585,10 +580,10 @@ class Add(Layer):
 
     def buffers(self, shape, dtype, train, keep):
         return Buffers(shape, {"y": (shape, dtype, OUT)},
-                       {"db": (shape, dtype)} if train and keep else {},
+                       {"db": (shape, dtype)} if keep else {},
                        inplace="y", grad=(None, "db"))
 
-    def forward(self, a, b=None, train=False, rng=None, *, out, keep=True):
+    def forward(self, a, b=None, train=False, rng=None, *, out, keep):
         if b is None or a.shape != b.shape:
             raise ShapeError("add expects two equal-shaped inputs")
         self.cache = a.shape if keep else None

@@ -11,9 +11,11 @@ shape, dtype) it lays out a plan once, from the node list's liveness:
 a buffer lives from the call that writes it to the last call that reads
 it, buffers whose lives do not overlap share bytes, and a layer writes its
 input in place when no later call reads that input (so a residual block's
-input, read by the block and by its shortcut, is never written). The arena
-is an anonymous memory mapping, grown only when a larger plan needs it and
-freed with the model. The softmax's output and its copy of the logits, the
+input, read by the block and by its shortcut, is never written). The plan
+also decides which nodes keep a backward cache and the walk that
+`backward` runs, so both follow the train forward that laid it out. The
+arena is an anonymous memory mapping, grown only when a larger plan needs
+it and freed with the model. The softmax's output and its copy of the logits, the
 parameters, gradients and optimizer slots stay outside it.
 """
 
@@ -88,10 +90,14 @@ def _layer_seed(root_seed: int | None, index: int) -> int | None:
 
 
 class _Plan(NamedTuple):
-    """A laid-out arena plan: each node's forward and backward views,
-    {name: array} (see `Model._layout`)."""
+    """A laid-out arena plan (see `Model._layout`): each node's forward and
+    backward views, {name: array}, and the backward walk, one (node, to)
+    per visited node in call order. `to` names the node each input
+    gradient goes to, None for one that nothing reads; at the frontier it
+    is None, and that backward computes no input gradient."""
     fwd: list
     bwd: list
+    walk: list
 
 
 @dataclass
@@ -138,121 +144,112 @@ class Model:
 
     def _run(self, x, train, rng, check_nodes=False):
         """Run the nodes in order, each writing into its views of the plan.
-        In train mode a node below the frontier keeps no backward cache:
-        `backward` never visits it."""
+        A node keeps a backward cache only in a train forward at or above
+        the frontier: `backward` visits no other."""
         frontier = self._frontier() if train else 0
         plan = self._plan(train, frontier, x.shape, x.dtype)
         outs = [None] * len(self.nodes)
         for j, node in enumerate(self.nodes):
             args = [x if i == -1 else outs[i] for i in node.inputs]
             outs[j] = node.layer.forward(*args, train=train, rng=rng,
-                                         out=plan.fwd[j], keep=j >= frontier)
+                                         out=plan.fwd[j],
+                                         keep=train and j >= frontier)
             if check_nodes:
                 T.check_finite(outs[j], node.name)
         self._backward_plan = plan if train else None
         return outs[-1]
 
     def backward(self, upstream):
-        """Backpropagate the loss gradient at the logits (the softmax input).
+        """Backpropagate the loss gradient at the logits (the softmax input)
+        through the walk that the last train forward's plan laid out.
 
-        Accumulates into the `grads` of every layer from the output down to
-        the lowest node whose layer is trainable and has parameters, and
-        stops there: nodes below it are not visited and their `grads` are
-        not written. Inputs always precede their consumers in the node list,
-        so a gradient headed below that node could only reach layers without
-        trainable parameters. Freezing is a prefix of the node list (see
-        `build_resnet50` and `optim.apply_phase`), so no frozen layer's
-        `grads` are written. That node, the frontier, is told not to compute
-        its input gradient, which nothing reads: training never computes the
-        gradient of the model input. Each layer writes into its views of the
-        last train forward's plan, and its cache is dropped once its
-        backward has returned, so a second call needs a new forward. The
-        softmax is not walked and keeps its cache: `logits` still reads.
-        Each gradient in flight belongs to one pending input (see
+        The walk accumulates into the `grads` of every layer from the output
+        down to the frontier, the lowest node whose layer was trainable and
+        had parameters at that forward, and stops there: nodes below it are
+        not visited and their `grads` are not written. Freezing is a prefix
+        of the node list (see `build_resnet50` and `optim.apply_phase`), so
+        no frozen layer's `grads` are written. The frontier computes no
+        input gradient, which nothing reads: training never computes the
+        gradient of the model input. Each layer writes into its views of
+        that plan. The call consumes the plan, so a second one needs a new
+        forward. The softmax is not walked: `logits` still reads. Each
+        gradient in flight belongs to one pending input (see
         `Model._layout`), so a second gradient is added into it in place.
         """
-        last = self.nodes[-1]
-        if last.layer.kind != "softmax":
+        if self.nodes[-1].layer.kind != "softmax":
             raise ShapeError("backward requires a softmax output layer")
-        if self._backward_plan is None:
+        plan, self._backward_plan = self._backward_plan, None
+        if plan is None:
             raise StateError("backward called before a train forward")
-        views = self._backward_plan.bwd
-        grads = [None] * len(self.nodes)
-        grads[last.inputs[0]] = upstream
-        lowest = self._frontier()
-        for idx in range(len(self.nodes) - 1, lowest - 1, -1):
-            g, grads[idx] = grads[idx], None
-            if g is None:
+        grads = {self.nodes[-1].inputs[0]: upstream}
+        for idx, to in plan.walk:
+            layer, g = self.nodes[idx].layer, grads.pop(idx)
+            if to is None:
+                layer.backward(g, input_grad=False, out=plan.bwd[idx])
                 continue
-            node = self.nodes[idx]
-            if idx == lowest:  # nothing reads the frontier's input gradient
-                node.layer.backward(g, input_grad=False, out=views[idx])
-                node.layer.cache = None
-                break
-            down = node.layer.backward(g, out=views[idx])
-            node.layer.cache = None
-            if not isinstance(down, tuple):
-                down = (down,)
-            for i, gi in zip(node.inputs, down):
-                if i < lowest:
+            down = layer.backward(g, out=plan.bwd[idx])
+            for i, gi in zip(to, down if isinstance(down, tuple) else (down,)):
+                if i is None:
                     continue
-                if grads[i] is None:
-                    grads[i] = gi
-                else:
+                if i in grads:
                     grads[i] += gi
+                else:
+                    grads[i] = gi
 
     # -- the arena --------------------------------------------------------
 
     def _plan(self, train, frontier, shape, dtype):
         """The plan for this key, laid out on first use. A plan larger than
-        the arena replaces it: the smaller arena and the plans on it are
-        dropped first."""
+        the arena replaces it: the smaller arena, the plans on it and the
+        layer caches that view it are dropped first."""
         key = (train, frontier, shape, np.dtype(dtype))
         if key not in self._plans:
-            fwd, bwd, size = self._layout(train, frontier, shape, dtype)
+            fwd, bwd, walk, size = self._layout(train, frontier, shape, dtype)
             if self._arena is None or self._arena.size < size:
                 self._plans.clear()
                 self._backward_plan = self._arena = None
+                for node in self.nodes:
+                    node.layer.cache = None
                 # its own page-aligned mapping, returned to the system when
                 # the model drops it, whatever the heap around it holds
                 self._arena = np.frombuffer(mmap.mmap(-1, max(size, 1)),
                                             np.uint8)
-            made = {}  # one view per (offset, shape, dtype): an in-place
-            # output is the very array its input is
 
             def views(entries):
-                out = {}
-                for name, (at, shp, dt) in entries.items():
-                    if (at, shp, dt) not in made:
-                        nbytes = int(np.prod(shp)) * np.dtype(dt).itemsize
-                        made[at, shp, dt] = self._arena[
-                            at:at + nbytes].view(dt).reshape(shp)
-                    out[name] = made[at, shp, dt]
-                return out
+                return {name: self._arena[at:at + int(np.prod(shp))
+                                          * dt.itemsize].view(dt).reshape(shp)
+                        for name, (at, shp, dt) in entries.items()}
 
             self._plans[key] = _Plan([views(e) for e in fwd],
-                                     [views(e) for e in bwd])
+                                     [views(e) for e in bwd], walk)
         return self._plans[key]
 
     def _layout(self, train, frontier, shape, dtype):
-        """Arena offsets of every node's buffers: ([{name: (offset, shape,
-        dtype)} per node] for forward and for backward, bytes).
+        """Arena offsets of every node's buffers, ([{name: (offset, shape,
+        dtype)} per node] for forward and for backward), the backward walk
+        (`_Plan.walk`) and the arena bytes: the one place that decides what
+        a step runs and keeps. A node keeps its backward cache (`keep`) in
+        a train forward at or above the frontier. The walk visits the nodes
+        that the logits' gradient reaches, down to the frontier, and drops
+        each input gradient headed below it: inputs precede their consumers
+        in the node list, so such a gradient could only reach layers
+        without trainable parameters.
 
-        Time runs over the forwards in node order, then the backward walk
-        as `backward` makes it. A buffer lives from the call that writes it
-        to the last call that reads it: an output to its last reader's
-        forward (its backward, when that layer's cache is its input), a
-        cache to its layer's backward, a gradient to the backward that
-        consumes it, scratch for its call. A layer's `inplace` buffer is
-        its first input's buffer when no later call reads that buffer.
-        Each input gradient a backward hands down is its own buffer or the
-        gradient it consumed (`Buffers.grad`), so every gradient in flight
-        belongs to one pending input; a second gradient for that input is
-        read at the backward that adds it in. Offsets are greedy by size
-        (Pisarchyk & Lee 2020): the largest buffer first, each into the
-        smallest gap left by the buffers placed so far whose lives overlap
-        its own. The model input and the upstream gradient are the
-        caller's and take no bytes.
+        Time runs over the forwards in node order, then the backward walk.
+        A buffer lives from the call that writes it to the last call that
+        reads it: an output to its last reader's forward (its backward,
+        when that layer's cache is its input), a cache to its layer's
+        backward, a gradient to the backward that consumes it, scratch for
+        its call. A layer's `inplace` buffer is its first input's buffer
+        when no later call reads that buffer. Each input gradient a
+        backward hands down is its own buffer or the gradient it consumed
+        (`Buffers.grad`), so every gradient in flight belongs to one
+        pending input; a second gradient for that input is read at the
+        backward that adds it in. Offsets are greedy by size (Pisarchyk &
+        Lee 2020): the largest buffer first, each into the smallest gap
+        left by the buffers placed so far whose lives overlap its own. The
+        model input and the upstream gradient are the caller's and take no
+        bytes.
         """
         n = len(self.nodes)
         back = 2 * n - 1  # node j's backward runs at time back - j
@@ -261,7 +258,7 @@ class Model:
             first = node.inputs[0]
             specs.append(node.layer.buffers(
                 shape if first < 0 else specs[first].out, dtype, train,
-                j >= frontier))
+                train and j >= frontier))
         last = list(range(n))  # the last call that reads each output
         for j, node in enumerate(self.nodes):
             for i in node.inputs:
@@ -280,7 +277,7 @@ class Model:
         def nbytes(shp, dt):
             return int(np.prod(shp)) * np.dtype(dt).itemsize
 
-        fwd, bwd = [{} for _ in range(n)], [{} for _ in range(n)]
+        fwd, bwd, walk = [{} for _ in range(n)], [{} for _ in range(n)], []
         outb = [None] * n
         model_input = buffer(0, None)
         for j, node in enumerate(self.nodes):
@@ -312,9 +309,12 @@ class Model:
                 bwd[idx] = {name: buffer(t, nbytes(shp, dt))
                             for name, (shp, dt) in spec.bwd.items()}
                 if idx == frontier:
+                    walk.append((idx, None))
                     break
-                for i, name in zip(node.inputs, spec.grad):
-                    if i < frontier:
+                to = tuple(i if i >= frontier else None for i in node.inputs)
+                walk.append((idx, to))
+                for i, name in zip(to, spec.grad):
+                    if i is None:
                         continue
                     d = (g if name is None else
                          bwd[idx].get(name, fwd[idx].get(name)))
@@ -328,7 +328,7 @@ class Model:
                     for name, b in names.items()}
 
         return ([entries(fwd[j], specs[j].fwd) for j in range(n)],
-                [entries(bwd[j], specs[j].bwd) for j in range(n)],
+                [entries(bwd[j], specs[j].bwd) for j in range(n)], walk,
                 max([o + life[b][2] for b, o in offsets.items()], default=0))
 
     @staticmethod
@@ -360,11 +360,12 @@ class Model:
     # -- parameters -------------------------------------------------------
 
     def zero_grads(self):
-        """Zero the trainable layers' gradient buffers in place; the
-        optimizer reads no other layer's `grads`."""
+        """Zero the trainable layers' gradient buffers in place, keeping
+        their dtype; the optimizer reads no other layer's `grads`."""
         for node in self.nodes:
             if node.layer.trainable:
-                node.layer.zero_grads()
+                for g in node.layer.grads.values():
+                    g.fill(0)
 
     def named_params(self, trainable_only=False):
         """Yield (qualified name, layer, param name) in topological order."""

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OptimizerError
 from .models import Model, ModelConfig
 
 SGD_MOMENTUM = 0.9
@@ -49,8 +48,6 @@ class Optimizer:
         scratch = {}  # two BLOCK-element arrays per parameter dtype
         for name, layer, pname in model.named_params(trainable_only=True):
             param, grad = layer.params[pname], layer.grads[pname]
-            if grad.shape != param.shape:
-                raise OptimizerError(f"gradient shape mismatch for {name}")
             if param.dtype not in scratch:
                 scratch[param.dtype] = (np.empty(BLOCK, param.dtype),
                                         np.empty(BLOCK, param.dtype))

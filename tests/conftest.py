@@ -27,23 +27,26 @@ def synthetic_120():
     return synthetic_arrays(per_class=20, seed=42)
 
 
-def lone_views(layer, x, train=False, keep=True):
+def lone_views(layer, x, train=False, keep=None):
     """(forward, backward) arrays of `layer` for an input like x: one
     fresh array per buffer its `buffers()` lists, as a one-node plan hands
-    them, so none is x's memory."""
-    spec = layer.buffers(x.shape, x.dtype, train, keep)
+    them, so none is x's memory. `keep` defaults to `train`, as a model
+    with every layer trainable passes it."""
+    spec = layer.buffers(x.shape, x.dtype, train,
+                         train if keep is None else keep)
     return ({name: np.empty(shape, dtype)
              for name, (shape, dtype, _) in spec.fwd.items()},
             {name: np.empty(shape, dtype)
              for name, (shape, dtype) in spec.bwd.items()})
 
 
-def alone(layer, *inputs, train=False, rng=None, keep=True):
-    """Run layer.forward(*inputs) into the arrays of `lone_views`:
-    (output, backward), where backward(upstream, ...) runs layer.backward
-    into the same plan's backward arrays."""
-    fwd, bwd = lone_views(layer, inputs[0], train, keep)
-    y = layer.forward(*inputs, train=train, rng=rng, out=fwd, keep=keep)
+def alone(layer, *inputs, train=False, rng=None):
+    """Run layer.forward(*inputs) into the arrays of `lone_views`, keeping
+    its cache in train mode: (output, backward), where
+    backward(upstream, ...) runs layer.backward into the same plan's
+    backward arrays."""
+    fwd, bwd = lone_views(layer, inputs[0], train)
+    y = layer.forward(*inputs, train=train, rng=rng, out=fwd, keep=train)
     return y, functools.partial(layer.backward, out=bwd)
 
 

@@ -25,7 +25,8 @@ def finite_difference_check(layer, x, dropout_seed=None, eps=1e-5):
 
     y, backward = run()
     upstream = np.random.default_rng(7).random(y.shape)
-    layer.zero_grads()
+    for g in layer.grads.values():
+        g.fill(0)
     dx = backward(upstream)
 
     def assert_close(numeric, analytic, what):
@@ -123,7 +124,8 @@ class TestBackwardSemantics:
         dense = L.Dense(3, 4, seed=1, dtype=np.float64)
         x = np.random.default_rng(0).random((2, 4))
         _, backward = alone(dense, x, train=True)
-        dense.zero_grads()
+        for g in dense.grads.values():
+            g.fill(0)
         dx = backward(np.zeros((2, 3)))
         assert np.all(dx == 0)
         assert np.all(dense.grads["weight"] == 0)
@@ -365,13 +367,15 @@ class TestConvWindows:
         forward = L.Conv2D.forward
         checked = []
 
-        def check(conv, x, train=False, rng=None, *, out, keep=True):
+        def check(conv, x, train=False, rng=None, *, out, keep):
             outs = []
             for budget in (1, 2 ** 40):
                 monkeypatch.setattr(L, "COL_BUDGET", budget)
-                outs.append(forward(conv, x, out=lone_views(conv, x)[0]))
+                outs.append(forward(conv, x, out=lone_views(conv, x)[0],
+                                    keep=False))
             outs.append(forward(conv, x, train=True,
-                                out=lone_views(conv, x, train=True)[0]))
+                                out=lone_views(conv, x, train=True)[0],
+                                keep=True))
             outs.append(whole_columns(conv) @ conv.params["weight"].reshape(
                 -1, conv.filters) + conv.params["bias"])
             conv.cache = None
@@ -549,11 +553,11 @@ class TestConvInputGradient:
         x = rng.random((8, 49, 49, 32), np.float32)
         upstream = rng.standard_normal((8, 49, 49, 64)).astype(np.float32)
         fwd, bwd = lone_views(conv, x, train=True)
-        conv.forward(x, train=True, out=fwd)
+        conv.forward(x, train=True, out=fwd, keep=True)
         conv.backward(upstream, out=bwd)  # what a first call allocates
         tracemalloc.start()
         try:
-            y = conv.forward(x, train=True, out=fwd)
+            y = conv.forward(x, train=True, out=fwd, keep=True)
             after_forward = tracemalloc.get_traced_memory()[0]
             cached = sum(a.nbytes for a in conv.cache
                          if isinstance(a, np.ndarray))
@@ -580,10 +584,10 @@ class TestConvInputGradient:
         rng = np.random.default_rng(0)
         x = rng.random((8, 49, 49, conv.in_channels), np.float32)
         fwd, bwd = lone_views(conv, x, train=True)
-        upstream = rng.standard_normal(
-            conv.forward(x, train=True, out=fwd).shape).astype(np.float32)
+        upstream = rng.standard_normal(conv.forward(
+            x, train=True, out=fwd, keep=True).shape).astype(np.float32)
         conv.backward(upstream, out=bwd)
-        conv.forward(x, train=True, out=fwd)
+        conv.forward(x, train=True, out=fwd, keep=True)
         tracemalloc.start()
         try:
             conv.backward(upstream, out=bwd)

@@ -6,7 +6,8 @@ every defaulted parameter of one is passed by a program call; no script
 reaches into the test suite, an OSError is caught only where an input is
 read or where the command line reports it, a ConfigError is raised only by
 the registry lookup, no function of the package imports one of its
-modules, and no call in the package passes a `where=` mask.
+modules, no call in the package passes a `where=` mask, and only a
+model's plan decides what a node keeps and what its backward walks.
 """
 
 import ast
@@ -360,4 +361,45 @@ def test_no_self_allocating_fork():
         for path in _python_files(os.path.join("src", "pednet"))
         for line in _out_none_checks(_parse(path))]
     assert not offenders, ("`out` compared with None: "
+                           + ", ".join(offenders))
+
+
+def _decided_twice(tree):
+    """Line of each `train and keep` conjunction, and of each `_frontier`
+    call inside a method named `backward` of a class named `Model`."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
+            names = {v.id for v in node.values if isinstance(v, ast.Name)}
+            if {"train", "keep"} <= names:
+                lines.add(node.lineno)
+        if isinstance(node, ast.ClassDef) and node.name == "Model":
+            for meth in node.body:
+                if (isinstance(meth, ast.FunctionDef)
+                        and meth.name == "backward"):
+                    lines.update(
+                        call.lineno for call in ast.walk(meth)
+                        if isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Attribute)
+                        and call.func.attr == "_frontier")
+    return sorted(lines)
+
+
+def test_plan_alone_decides_walk_and_keep():
+    """A model's plan decides which nodes keep a backward cache and the
+    walk its backward runs: a layer that tests `train and keep` decides
+    the first again, and a `Model.backward` that asks for the frontier
+    decides the second again, from flags that may have changed since the
+    forward."""
+    probe = ast.parse("y = train and keep\nz = keep and x and train\n"
+                      "w = train or keep\nv = train and j >= f\n"
+                      "class Model:\n    def backward(self):\n"
+                      "        return self._frontier()\n"
+                      "    def _run(self):\n        self._frontier()\n")
+    assert _decided_twice(probe) == [1, 2, 7]
+    offenders = [
+        f"{os.path.relpath(path, ROOT)}:{line}"
+        for path in _python_files(os.path.join("src", "pednet"))
+        for line in _decided_twice(_parse(path))]
+    assert not offenders, ("walk or keep decided outside the plan: "
                            + ", ".join(offenders))

@@ -155,8 +155,9 @@ class TestBuildProperties:
         model = models.build_resnet50("GAP", seed=0)
         x = np.zeros((1, 99, 99, 3), np.float32)
         model.forward(x, train=False)
-        gap_node = next(n for n in model.nodes if n.name == "head_gap")
-        assert gap_node.layer.cache == (1, 4, 4, 2048)
+        gap = next(n for n in model.nodes if n.name == "head_gap")
+        plan = model._plan(False, 0, x.shape, x.dtype)
+        assert plan.fwd[gap.inputs[0]]["y"].shape == (1, 4, 4, 2048)
 
 
 def _phase_model(case):
@@ -268,6 +269,9 @@ class TestBackward:
 
     @pytest.mark.parametrize("case", CASES + ["custom-all-trainable"])
     def test_backward_releases_each_cache_it_consumed(self, case):
+        """Backward consumes the plan whose arena holds the caches it read,
+        so a second call needs a new forward; a walked layer's cache is
+        arena views and per-channel vectors, nothing of its own."""
         if case == "custom-all-trainable":
             model = models.build_model(models.registry_lookup(8), seed=0)
         else:
@@ -279,15 +283,35 @@ class TestBackward:
         walked = {idx for idx, method, _, _ in calls if method == "backward"}
         assert walked
         for idx in walked:
-            assert model.nodes[idx].layer.cache is None, model.nodes[idx].name
+            layer = model.nodes[idx].layer
+            for arr in _cached_arrays(layer):
+                assert (np.may_share_memory(arr, model._arena)
+                        or arr.shape == (getattr(layer, "channels", -1),)), \
+                    (model.nodes[idx].name, arr.shape)
         for node in model.nodes:
             # no layer keeps an array outside its parameters, gradients,
             # statistics and cache from one step to the next
             kept = [k for k, v in vars(node.layer).items()
-                    if isinstance(v, np.ndarray)]
+                    if k != "cache" and isinstance(v, np.ndarray)]
             assert not kept, (node.name, kept)
         # the softmax is not walked: its logits still read
         assert model.nodes[-1].layer.logits.shape == g.shape
+        with pytest.raises(StateError, match="backward called before"):
+            model.backward(g)
+
+    def test_backward_follows_its_forward(self):
+        """Backward differentiates the train forward it follows: a layer
+        unfrozen in between is not walked, since that forward kept
+        nothing for it."""
+        model, _ = _phase_model("custom-frozen-prefix")
+        g = _forward_loss_grad(model)
+        for node in model.nodes[:4]:
+            node.layer.trainable = True
+        model.zero_grads()
+        model.backward(g)
+        grads = {n.name: n.layer.grads for n in model.nodes}
+        assert all(np.all(v == 0) for v in grads["block1_conv"].values())
+        assert all(np.any(v != 0) for v in grads["block2_conv"].values())
         with pytest.raises(StateError, match="backward called before"):
             model.backward(g)
 
@@ -546,9 +570,14 @@ class TestOwnership:
                                             np.float32)
         model.forward(x)
         outs = {model.nodes[j].name: out for j, _, _, out in calls}
+
+        def where(a):  # the bytes an array is
+            return a.__array_interface__["data"][0], a.shape, a.strides
+
         for b in range(1, 5):
-            assert outs[f"block{b}_bn"] is outs[f"block{b}_conv"]
-            assert outs[f"block{b}_relu"] is outs[f"block{b}_conv"]
+            assert where(outs[f"block{b}_bn"]) == where(outs[f"block{b}_conv"])
+            assert where(outs[f"block{b}_relu"]) == \
+                where(outs[f"block{b}_conv"])
             assert not np.may_share_memory(outs[f"block{b}_pool"],
                                            outs[f"block{b}_relu"])
 
@@ -693,3 +722,18 @@ class TestArena:
         assert len(model._plans) == 1  # the smaller arena's plan went
         model.forward(rng.random((2, *models.INPUT_SPEC), np.float32))
         assert model._arena is large
+
+    def test_larger_plan_drops_caches_on_the_old_arena(self):
+        """The caches a backward read stay views of the arena; a larger
+        plan drops them with it, so they do not keep the smaller mapping
+        alive through the next forward."""
+        model = models.build_model(models.registry_lookup(8), seed=0)
+        _train_step(model, optim.make_optimizer(models.registry_lookup(8)))
+        small = model._arena
+        assert any(np.may_share_memory(arr, small) for node in model.nodes
+                   for arr in _cached_arrays(node.layer))
+        model._plan(True, 0, (4, *models.INPUT_SPEC), np.float32)
+        assert model._arena.size > small.size
+        for node in model.nodes:
+            for arr in _cached_arrays(node.layer):
+                assert not np.may_share_memory(arr, small), node.name

