@@ -5,7 +5,9 @@ forward cache used by backward. A forward fills the arrays a backward reads
 only when told to `keep` them, and `Model`'s plan decides that: a train
 forward at or above the frontier keeps, any other forward keeps none. A conv
 caches its padded input, not its column matrix; its backward rebuilds the
-columns. Feature maps are (N, H, W, C) float arrays.
+columns one kernel row at a time. A max-pool whose windows do not overlap
+writes each cell of its input gradient once; only overlapping windows go
+through `_col2im`'s sum. Feature maps are (N, H, W, C) float arrays.
 
 Each kind's `buffers` lists the arrays a forward and a backward write for an
 input shape: outputs, caches, scratch and input gradients. `Model` lays them
@@ -98,9 +100,9 @@ def _windows(xp, k, stride, writeable=False):
 def _col2im(cell_grads, in_shape, k, stride, pads, out):
     """Sum the gradients of the k*k window cells, given in row-major order
     as (N,Ho,Wo,C) arrays, onto the (unpadded) input the windows read, in
-    the padded array `out`. The one scatter of conv and max-pool backward;
-    each cell is added as it is drawn, so `cell_grads` may yield one reused
-    buffer."""
+    the padded array `out`. The one scatter of conv and overlapping
+    max-pool backward; each cell is added as it is drawn, so `cell_grads`
+    may yield one reused buffer."""
     n, h, w, c = in_shape
     (pt, pb), (pl, pr) = pads
     out.fill(0)
@@ -178,6 +180,13 @@ class Layer:
 
 
 class Conv2D(Layer):
+    """`same_ceil` convolution as im2col and GEMM. The forward builds its
+    columns in blocks of whole images (COL_BUDGET), the backward one kernel
+    row at a time: each GEMM fills k*C_in rows of the weight gradient over
+    all N*Ho*Wo columns, so the bytes are the whole-column product's. That
+    row buffer then holds each window cell's input gradient for `_col2im`.
+    A 1x1 stride-1 conv's columns are its input."""
+
     kind = "conv2d"
 
     def __init__(self, filters, kernel, in_channels, stride=1, seed=0,
@@ -208,14 +217,15 @@ class Conv2D(Layer):
         fwd = {"y": (y, dt, OUT)}
         if padded != shape:
             fwd["xp"] = (padded, dtype, CACHE if keep else TEMP)
-        kkc, cells = k * k * c, n * y[1] * y[2]
-        bwd = {"dw": ((kkc, self.filters), dt)}
+        kc, cells = k * c, n * y[1] * y[2]
+        bwd = {"dw": ((k * kc, self.filters), dt)}
         if k == 1 and s == 1:
             bwd["dx"] = ((cells, c), dt)
         else:
-            fwd["col"] = ((step * y[1] * y[2], kkc), dtype, TEMP)
-            bwd.update(col=((cells, kkc), dtype), cell=((cells, c), dt),
-                       dx=(padded, dt))
+            fwd["col"] = ((step * y[1] * y[2], k * kc), dtype, TEMP)
+            # one kernel row's columns, then one cell's gradient in its
+            # prefix: in the result dtype, which holds both
+            bwd.update(col=((cells, kc), dt), dx=(padded, dt))
         return Buffers(y, fwd, bwd if keep else {},
                        holds=keep and padded == shape, grad=("dx",))
 
@@ -252,14 +262,18 @@ class Conv2D(Layer):
         k = self.kernel
         pointwise = k == 1 and self.stride == 1
         g2 = upstream.reshape(-1, self.filters)
-        # the column matrix: the input itself for 1x1 stride 1, else its
-        # windows copied into the column buffer
-        col = xp if pointwise else out["col"]
-        if not pointwise:
+        dw = out["dw"]
+        if pointwise:  # the column matrix is the input itself
+            np.matmul(xp.reshape(len(g2), -1).T, g2, out=dw)
+        else:
+            # kernel row i's columns give dw's rows i*k*C_in..(i+1)*k*C_in
+            col = out["col"]
             win = _windows(xp, k, self.stride)
-            np.copyto(col.reshape(win.shape), win)
-        col2 = col.reshape(len(g2), -1)
-        dw = np.matmul(col2.T, g2, out=out["dw"])
+            rows = col.shape[1]
+            for i in range(k):
+                row = win[:, :, :, i]
+                np.copyto(col.reshape(row.shape), row)
+                np.matmul(col.T, g2, out=dw[i * rows:(i + 1) * rows])
         self.grads["weight"] += dw.reshape(weight.shape)
         self.grads["bias"] += _channel_sum(upstream)
         if not input_grad:
@@ -270,9 +284,10 @@ class Conv2D(Layer):
             dx = np.matmul(g2, weight[0, 0].T, out=out["dx"])
             dx += 0
             return dx.reshape(in_shape)
-        # cell (i, j)'s gradient is g2 @ weight[i, j].T, built into one
-        # reused buffer just before _col2im adds it on
-        tmp = out["cell"]
+        # cell (i, j)'s gradient is g2 @ weight[i, j].T, built into the
+        # column buffer's first N*Ho*Wo*C_in values just before _col2im
+        # adds it on
+        tmp = col.reshape(-1)[:len(g2) * self.in_channels].reshape(len(g2), -1)
         cells = (np.matmul(g2, weight[i, j].T, out=tmp).reshape(
                      *upstream.shape[:3], self.in_channels)
                  for i in range(k) for j in range(k))
@@ -384,12 +399,15 @@ class MaxPool2D(Layer):
     first maximum in row-major order. Padding cells hold -inf.
 
     Cell (i, j) of every window is one strided slice of the padded input, so
-    the pool compares kernel*kernel slices elementwise. Overlapping windows
-    (the ResNet stem's 3x3/2) only make backward add where cells coincide.
-    A forward that keeps its cache also builds the uint8 first-max
-    index, with uint8 arithmetic on whole slices (see `_first_max`); one
-    that keeps none folds the same maxima without it. The output never
-    shares the input's memory.
+    the pool compares kernel*kernel slices elementwise. A forward that keeps
+    its cache also builds the uint8 first-max index, with uint8 arithmetic
+    on whole slices (see `_first_max`); one that keeps none folds the same
+    maxima without it. The output never shares the input's memory.
+
+    When kernel == stride the windows do not overlap, and backward writes
+    each cell's routed gradient straight into its slice of the input
+    gradient, once. Overlapping windows (the ResNet stem's 3x3/2) route
+    each cell into a buffer that `_col2im` adds where cells coincide.
     """
 
     kind = "maxpool2d"
@@ -409,8 +427,10 @@ class MaxPool2D(Layer):
         if not keep:
             return Buffers(y, fwd, {})
         fwd.update(arg=(y, np.uint8, CACHE), later=(y, np.uint8, TEMP))
-        return Buffers(y, fwd, {"routed": (y, dtype), "hit": (y, np.bool_),
-                                "dx": (padded, dtype)}, grad=("dx",))
+        bwd = {"hit": (y, np.bool_), "dx": (padded, dtype)}
+        if self.kernel != self.stride:
+            bwd["routed"] = (y, dtype)
+        return Buffers(y, fwd, bwd, grad=("dx",))
 
     def forward(self, x, train=False, rng=None, *, out, keep):
         if x.ndim != 4:
@@ -426,13 +446,28 @@ class MaxPool2D(Layer):
     def backward(self, upstream, *, out):
         self._require_cache()
         arg, in_shape, pads = self.cache
-        routed, hit = out["routed"], out["hit"]
-        # the sum onto zeros also turns the -0.0 of a negative gradient
-        # times a losing cell into +0.0
-        return _col2im((np.multiply(upstream, np.equal(arg, t, out=hit),
-                                    out=routed)
-                        for t in range(self.kernel ** 2)),
-                       in_shape, self.kernel, self.stride, pads, out["dx"])
+        k, hit, dx = self.kernel, out["hit"], out["dx"]
+        if k != self.stride:
+            # the sum onto zeros also turns the -0.0 of a negative gradient
+            # times a losing cell into +0.0
+            return _col2im((np.multiply(upstream, np.equal(arg, t, out=hit),
+                                        out=out["routed"])
+                            for t in range(k * k)),
+                           in_shape, k, self.stride, pads, dx)
+        # the windows tile the padded input from its top left corner: each
+        # cell is written once, and what lies past the last window is zero
+        _, ho, wo, _ = upstream.shape
+        dx[:, ho * k:] = 0
+        dx[:, :ho * k, wo * k:] = 0
+        win = _windows(dx, k, k, writeable=True)
+        for t in range(k * k):
+            np.multiply(upstream, np.equal(arg, t, out=hit),
+                        out=win[:, :, :, t // k, t % k])
+        # + 0 turns the -0.0 of a negative gradient times a losing cell
+        # into +0.0, as _col2im's sum onto zeros does
+        np.add(dx, 0, out=dx)
+        (pt, _), (pl, _) = pads
+        return dx[:, pt:pt + in_shape[1], pl:pl + in_shape[2]]
 
 
 class GlobalAvgPool(Layer):

@@ -329,6 +329,32 @@ class TestMaxPoolSlices:
         assert eval_out.dtype == dtype
         assert eval_out.tobytes() == train_out.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("extent", [12, 13])
+    @pytest.mark.parametrize("padding", [T.VALID_FLOOR, T.SAME_CEIL])
+    def test_tiling_pool_writes_every_gradient_value(self, padding, extent,
+                                                     dtype):
+        """A 2x2/2 pool's backward, handed an input gradient buffer that
+        holds NaN as a reused arena may, writes all of it that it returns
+        (the row and column past the last window of an odd extent too, or
+        the interior of the padded buffer), with the window-view path's
+        bytes: a negative gradient times a losing cell is +0.0."""
+        rng = np.random.default_rng(extent)
+        x = _tied_input("random", extent, dtype, rng)
+        _signed_zero_window(x)
+        pool = L.MaxPool2D(2, 2, padding)
+        fwd, bwd = lone_views(pool, x, train=True)
+        assert set(bwd) == {"hit", "dx"}  # no routed cell buffer
+        bwd["dx"].fill(np.nan)
+        out = pool.forward(x, train=True, out=fwd, keep=True)
+        upstream = rng.standard_normal(out.shape).astype(dtype)
+        upstream[0, 0, 0] = -0.0
+        want_dx = window_path_pool(x, 2, 2, padding, upstream)[2]
+        dx = pool.backward(upstream, out=bwd)
+        assert np.shares_memory(dx, bwd["dx"])
+        assert dx.dtype == dtype and dx.shape == x.shape
+        assert dx.tobytes() == want_dx.tobytes()
+
     @pytest.mark.parametrize("padding", [T.SAME_CEIL, T.VALID_FLOOR])
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
     def test_one_cell_pool_output_is_fresh(self, padding, train):
@@ -524,6 +550,31 @@ class TestConvInputGradient:
             assert dx.dtype == np.float64
             assert dx.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("kernel,stride", [(3, 1), (1, 2), (7, 2)])
+    def test_wider_weights_fit_cells_in_column_buffer(self, kernel, stride):
+        """float64 weights on a float32 input: the column buffer, which
+        holds one kernel row's columns and then each cell's float64
+        gradient, is float64, and the gradients keep the whole-column
+        bytes. As in the float64 shadow test, the 7x7 stem, a frontier,
+        computes no input gradient."""
+        conv = L.Conv2D(5, kernel, in_channels=4, stride=stride, seed=2,
+                        dtype=np.float64)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((2, 9, 8, 4)).astype(np.float32)
+        fwd, bwd = lone_views(conv, x, train=True)
+        assert bwd["col"].dtype == np.float64
+        assert bwd["col"].shape[1] == kernel * 4
+        y = conv.forward(x, train=True, out=fwd, keep=True)
+        upstream = rng.standard_normal(y.shape)
+        upstream[0, 0, 0] = -0.0
+        want_w = column_weight_grad(conv, upstream)
+        input_grad = kernel != 7
+        want = column_input_grad(conv, upstream) if input_grad else None
+        dx = conv.backward(upstream, input_grad, out=bwd)
+        assert conv.grads["weight"].tobytes() == want_w.tobytes()
+        if input_grad:
+            assert dx.dtype == np.float64 and dx.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("kernel,stride,extent", [
         (3, 1, 7), (7, 2, 8), (1, 1, 7), (1, 2, 7), (1, 2, 8)])
     def test_train_cache_is_padded_input(self, kernel, stride, extent):
@@ -574,10 +625,11 @@ class TestConvInputGradient:
         assert after_backward < 0.1e6, after_backward
 
     def test_train_backward_memory_bounded(self):
-        """Model 8's block2_conv at batch 8 holds one cell's gradient (2.5
-        MB) and the padded input gradient at a time, not the full 22 MB
-        column gradient, beyond the buffers it is handed (as a model's plan
-        hands them), its column matrix among them."""
+        """Model 8's block2_conv at batch 8 allocates next to nothing
+        beyond the buffers it is handed (as a model's plan hands them):
+        one kernel row of its column matrix (7.4 MB), which also holds one
+        cell's gradient at a time, and the padded input gradient, not the
+        full 22 MB column gradient."""
         model = models.build_model(models.registry_lookup(8), seed=0)
         conv = next(node.layer for node in model.nodes
                     if node.name == "block2_conv")

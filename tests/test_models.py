@@ -643,6 +643,36 @@ class TestMeetingGradients:
                                        atol=1e-8, err_msg=f"{case} {name}")
 
 
+# Arena bytes of the registry plans while a conv's backward still built its
+# whole column matrix and a max-pool's its routed cells: (model id, phase;
+# 0 for eval) -> bytes at batch 1, 3 and 8. No plan may grow past them.
+ARENA_CEILING = {
+    (1, 1): (4_212_736, 7_260_032, 15_360_000),
+    (1, 2): (16_653_952, 31_087_488, 67_171_328),
+    (1, 0): (2_880_000, 7_200_000, 12_800_000),
+    (2, 1): (16_844_800, 16_979_968, 17_317_888),
+    (2, 2): (23_737_984, 37_659_520, 72_463_360),
+    (2, 0): (2_880_000, 7_200_000, 12_800_000),
+    (6, 1): (8_500_992, 18_437_440, 49_043_328),
+    (6, 2): (8_500_992, 18_437_440, 49_043_328),
+    (6, 0): (4_020_864, 7_306_372, 14_191_072),
+    (8, 1): (8_500_992, 18_437_440, 49_043_328),
+    (8, 2): (8_500_992, 18_437_440, 49_043_328),
+    (8, 0): (4_020_864, 7_306_372, 14_191_072),
+}
+
+
+def _phase_layout(model_id, phase, batch):
+    """The float32 `Model._layout` of a registry model (unseeded) in a
+    training phase (0: eval) at a batch size, and the model."""
+    cfg = models.registry_lookup(model_id)
+    model = models.build_model(cfg, seed=None)
+    optim.apply_phase(cfg, model, optim.make_optimizer(cfg), max(phase, 1))
+    train = phase > 0
+    return model, model._layout(train, model._frontier() if train else 0,
+                                (batch, *models.INPUT_SPEC), np.float32)
+
+
 def _steady_bytes(step):
     """Bytes `step()` allocates at its peak, by tracemalloc, after a first
     call has laid out the plans."""
@@ -737,3 +767,37 @@ class TestArena:
         for node in model.nodes:
             for arr in _cached_arrays(node.layer):
                 assert not np.may_share_memory(arr, small), node.name
+
+    def test_no_plan_grows(self):
+        """None of the 36 registry plans takes more arena bytes than
+        ARENA_CEILING, and model 8's batch-8 train plan, which the column
+        matrix of block2_conv's backward set at 46.8 MiB, fits 35 MiB."""
+        for (model_id, phase), ceilings in ARENA_CEILING.items():
+            for batch, ceiling in zip((1, 3, 8), ceilings):
+                size = _phase_layout(model_id, phase, batch)[1][3]
+                assert size <= ceiling, (model_id, phase, batch, size)
+        assert _phase_layout(8, 1, 8)[1][3] <= 35 * 2 ** 20
+
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("phase", [1, 2])
+    @pytest.mark.parametrize("model_id", [8, 1])
+    def test_conv_backward_holds_one_kernel_row(self, model_id, phase,
+                                                batch):
+        """Every conv the walk visits gets an (N*Ho*Wo, k*C_in) column
+        buffer, one kernel row of its column matrix, and no separate
+        buffer for a cell's input gradient; a 1x1 stride-1 conv gets no
+        column buffer."""
+        model, (fwd, bwd, walk, _) = _phase_layout(model_id, phase, batch)
+        walked = {idx for idx, _ in walk}
+        convs = [j for j, node in enumerate(model.nodes)
+                 if node.layer.kind == "conv2d" and j in walked]
+        for j in convs:
+            conv, y = model.nodes[j].layer, fwd[j]["y"][1]
+            assert "cell" not in bwd[j]
+            if conv.kernel == 1 and conv.stride == 1:
+                assert "col" not in bwd[j]
+                continue
+            assert bwd[j]["col"][1] == (y[0] * y[1] * y[2],
+                                        conv.kernel * conv.in_channels)
+        # model 1's phase 1 walks only its head
+        assert (len(convs) > 0) == (model_id == 8 or phase == 2)
