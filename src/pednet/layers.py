@@ -1,19 +1,22 @@
 """Layer vocabulary: conv, batchnorm, relu, pooling, dense, dropout, softmax.
 
-Every layer carries its parameters, gradient buffers, a trainable flag, and a
-forward cache used by backward. A forward fills the arrays a backward reads
-only when told to `keep` them, and `Model`'s plan decides that: a train
-forward at or above the frontier keeps, any other forward keeps none. A conv
-caches its padded input, not its column matrix; its backward rebuilds the
-columns one kernel row at a time. A max-pool whose windows do not overlap
-writes each cell of its input gradient once; only overlapping windows go
-through `_col2im`'s sum. Feature maps are (N, H, W, C) float arrays.
+Every layer carries its parameters, gradient buffers, statistics and a
+trainable flag, and no state of a step. A forward fills the arrays a
+backward reads only when told to `keep` them, and `Model`'s plan decides
+that: a train forward at or above the frontier keeps, any other forward
+keeps none. A backward is handed what it reads: the inputs its forward was
+called with and that forward's views of the plan. A conv keeps its padded
+input, not its column matrix; its backward rebuilds the columns one kernel
+row at a time. A max-pool whose windows do not overlap writes each cell of
+its input gradient once; only overlapping windows go through `_col2im`'s
+sum. Feature maps are (N, H, W, C) float arrays.
 
 Each kind's `buffers` lists the arrays a forward and a backward write for an
 input shape: outputs, caches, scratch and input gradients. `Model` lays them
-out in its arena and hands each call its views through `out=`, the one way a
-layer gets them. A forward writes its input only where the plan made a
-buffer that `Buffers.inplace` names the input's memory.
+out in its arena and hands each call its views through `out=` (a backward
+its forward's too, through `fwd=`), the one way a layer gets them. A
+forward writes its input only where the plan made a buffer that
+`Buffers.inplace` names the input's memory.
 """
 
 from __future__ import annotations
@@ -42,12 +45,14 @@ class Buffers(NamedTuple):
 
     out: the output shape. fwd: name -> (shape, dtype, role) of what the
     forward writes; the OUT buffer is the output, and with none the output
-    is the first input, a view of it, or the softmax's fresh array. bwd: name -> (shape, dtype) of what
-    the backward writes. inplace: the forward buffer that may be the first
-    input's memory, when nothing reads that input later. holds: the train
-    cache is the first input itself. grad: the buffer the input gradient
-    is or views (of bwd, or a forward cache), one per input; None: the
-    upstream gradient itself.
+    is the first input, a view of it, or the softmax's fresh array. bwd:
+    name -> (shape, dtype) of what the backward writes. inplace: the
+    forward buffer that may be the first input's memory, when nothing
+    reads that input later. holds: the plan keeps the first input intact
+    until the backward, which reads its values; a backward reads only the
+    shape of any other input. grad: the buffer the input gradient is or
+    views (of bwd, or a forward cache), one per input; None: the upstream
+    gradient itself.
     """
     out: tuple
     fwd: dict
@@ -151,12 +156,14 @@ def _first_max(arrays, out, arg=None, later=None):
 
 
 class Layer:
-    """Base: parameter registry, gradient buffers, trainable flag, cache.
-    Each kind defines buffers(shape, dtype, train, keep), forward(x, train,
-    rng, *, out, keep) and backward(upstream, *, out). `train` picks the
-    arithmetic (batch statistics, dropout); `keep`, which only a train
-    forward is given, alone decides whether the forward caches what
-    backward reads."""
+    """Base: parameter registry, gradient buffers, statistics, trainable
+    flag. Each kind defines buffers(shape, dtype, train, keep),
+    forward(x, train, rng, *, out, keep) and backward(upstream, *inputs,
+    [input_grad,] *, fwd, out), whose inputs and `fwd` views are its
+    forward's. `train` picks the arithmetic (batch statistics, dropout);
+    `keep`, which only a train forward is given, alone decides whether the
+    forward fills the caches backward reads. Neither call sets an
+    attribute of the layer, but for the softmax's `logits`."""
 
     kind = "layer"
 
@@ -166,11 +173,6 @@ class Layer:
         self.grads = {k: np.zeros(p.shape, p.dtype) for k, p in params.items()}
         self.state: dict[str, np.ndarray] = {}
         self.trainable = True
-        self.cache = None
-
-    def _require_cache(self):
-        if self.cache is None:
-            raise StateError(f"{self.kind}: backward called before forward")
 
     def param_count(self):
         """(trainable, non_trainable) scalar counts for the ledger."""
@@ -233,11 +235,8 @@ class Conv2D(Layer):
         if x.ndim != 4 or x.shape[3] != self.in_channels:
             raise ShapeError(f"conv2d expects (N,H,W,{self.in_channels}), got {x.shape}")
         pads, _, _, step = self._geometry(x.shape, x.dtype)
-        xp = _pad(x, pads, 0.0, out.get("xp"))
-        # backward rebuilds the columns from the padded input: x itself when
-        # nothing is padded, which the plan keeps intact until then
-        self.cache = (xp, x.shape, pads) if keep else None
-        col = _windows(xp, self.kernel, self.stride)
+        col = _windows(_pad(x, pads, 0.0, out.get("xp")), self.kernel,
+                       self.stride)
         w2 = self.params["weight"].reshape(-1, self.filters)
         bias = self.params["bias"]
         y = out["y"]
@@ -255,9 +254,10 @@ class Conv2D(Layer):
             block += bias
         return y
 
-    def backward(self, upstream, input_grad=True, *, out):
-        self._require_cache()
-        xp, in_shape, pads = self.cache
+    def backward(self, upstream, x, input_grad=True, *, fwd, out):
+        # the columns come from the padded input: x itself when nothing is
+        # padded, which the plan keeps intact until then
+        xp = fwd.get("xp", x)
         weight = self.params["weight"]
         k = self.kernel
         pointwise = k == 1 and self.stride == 1
@@ -283,7 +283,7 @@ class Conv2D(Layer):
             # into +0.0 as _col2im's sum onto zeros does
             dx = np.matmul(g2, weight[0, 0].T, out=out["dx"])
             dx += 0
-            return dx.reshape(in_shape)
+            return dx.reshape(x.shape)
         # cell (i, j)'s gradient is g2 @ weight[i, j].T, built into the
         # column buffer's first N*Ho*Wo*C_in values just before _col2im
         # adds it on
@@ -291,16 +291,19 @@ class Conv2D(Layer):
         cells = (np.matmul(g2, weight[i, j].T, out=tmp).reshape(
                      *upstream.shape[:3], self.in_channels)
                  for i in range(k) for j in range(k))
-        return _col2im(cells, in_shape, k, self.stride, pads, out["dx"])
+        pads = self._geometry(x.shape, x.dtype)[0]
+        return _col2im(cells, x.shape, k, self.stride, pads, out["dx"])
 
 
 class BatchNorm(Layer):
     """Batch normalisation over the (N, H, W) axes of each channel.
 
     Every per-channel sum is `_channel_sum`'s two-level order. Train mode
-    caches the centred input x - mean; x-hat is never stored, since
-    scale * inv_std folds into one coefficient. Eval mode normalises with
-    the moving statistics and caches nothing: training backpropagates only
+    caches the centred input x - mean, and neither x-hat, since
+    scale * inv_std folds into one coefficient, nor inv_std: backward
+    recomputes it from the centred input with the forward's expression on
+    the same bytes, so it is the forward's. Eval mode normalises with the
+    moving statistics and caches nothing: training backpropagates only
     through train-mode forwards. The centred input (train) or the output
     (eval) may be x's memory, and backward builds dx in the centred input,
     so one forward's cache serves one backward.
@@ -330,7 +333,6 @@ class BatchNorm(Layer):
         if x.ndim != 4 or x.shape[3] != self.channels:
             raise ShapeError(f"batchnorm expects (N,H,W,{self.channels}), got {x.shape}")
         if not train:
-            self.cache = None
             y = np.subtract(x, self.state["moving_mean"], out=out["y"])
             y *= self.params["scale"] * self._inv_std(
                 self.state["moving_var"], x.dtype)
@@ -348,14 +350,15 @@ class BatchNorm(Layer):
         self.state["moving_var"] = (m * self.state["moving_var"]
                                     + (one - m) * var)
         inv_std = self._inv_std(var, x.dtype)
-        self.cache = (xc, inv_std) if keep else None
         y = np.multiply(xc, self.params["scale"] * inv_std, out=out["y"])
         y += self.params["shift"]
         return y
 
-    def backward(self, upstream, input_grad=True, *, out):
-        self._require_cache()
-        xc, inv_std = self.cache
+    def backward(self, upstream, x, input_grad=True, *, fwd, out):
+        xc = fwd["xc"]
+        count = xc.dtype.type(xc.size // self.channels)
+        # the forward's own expression on the same bytes: the same inv_std
+        inv_std = self._inv_std(_channel_sum(xc, xc) / count, xc.dtype)
         # sum(up * xhat) with xhat = xc * inv_std
         dscale = _channel_sum(upstream, xc) * inv_std
         dshift = _channel_sum(upstream)
@@ -363,9 +366,8 @@ class BatchNorm(Layer):
         self.grads["shift"] += dshift
         if not input_grad:
             return None
-        count = xc.dtype.type(xc.size // self.channels)
         # the batch-statistics derivative in the consumed cache, which only
-        # this layer holds:
+        # this backward reads:
         # dx = coef * (up - sum(up) / m - xhat * sum(up * xhat) / m)
         dx = np.multiply(xc, inv_std * dscale / count, out=xc)
         np.subtract(upstream, dx, out=dx)
@@ -385,13 +387,12 @@ class ReLU(Layer):
                        inplace="y", grad=("dx",))
 
     def forward(self, x, train=False, rng=None, *, out, keep):
-        # subgradient at 0 is 0
-        self.cache = np.greater(x, 0, out=out["mask"]) if keep else None
+        if keep:  # subgradient at 0 is 0
+            np.greater(x, 0, out=out["mask"])
         return np.maximum(x, 0, out=out["y"])
 
-    def backward(self, upstream, *, out):
-        self._require_cache()
-        return np.multiply(upstream, self.cache, out=out["dx"])
+    def backward(self, upstream, x, *, fwd, out):
+        return np.multiply(upstream, fwd["mask"], out=out["dx"])
 
 
 class MaxPool2D(Layer):
@@ -399,8 +400,8 @@ class MaxPool2D(Layer):
     first maximum in row-major order. Padding cells hold -inf.
 
     Cell (i, j) of every window is one strided slice of the padded input, so
-    the pool compares kernel*kernel slices elementwise. A forward that keeps
-    its cache also builds the uint8 first-max index, with uint8 arithmetic
+    the pool compares kernel*kernel slices elementwise. A forward told to
+    keep also builds the uint8 first-max index, with uint8 arithmetic
     on whole slices (see `_first_max`); one that keeps none folds the same
     maxima without it. The output never shares the input's memory.
 
@@ -440,20 +441,19 @@ class MaxPool2D(Layer):
         win = _windows(_pad(x, pads, -np.inf, out.get("xp")), k, s)
         y = _first_max([win[:, :, :, i, j] for i in range(k) for j in range(k)],
                        out["y"], out.get("arg"), out.get("later"))
-        self.cache = (out["arg"], x.shape, pads) if keep else None
         return y
 
-    def backward(self, upstream, *, out):
-        self._require_cache()
-        arg, in_shape, pads = self.cache
-        k, hit, dx = self.kernel, out["hit"], out["dx"]
-        if k != self.stride:
+    def backward(self, upstream, x, *, fwd, out):
+        k, s, arg = self.kernel, self.stride, fwd["arg"]
+        pads = _window_geometry(x.shape, k, s, self.padding, x.shape[3])[0]
+        hit, dx = out["hit"], out["dx"]
+        if k != s:
             # the sum onto zeros also turns the -0.0 of a negative gradient
             # times a losing cell into +0.0
             return _col2im((np.multiply(upstream, np.equal(arg, t, out=hit),
                                         out=out["routed"])
                             for t in range(k * k)),
-                           in_shape, k, self.stride, pads, dx)
+                           x.shape, k, s, pads, dx)
         # the windows tile the padded input from its top left corner: each
         # cell is written once, and what lies past the last window is zero
         _, ho, wo, _ = upstream.shape
@@ -467,7 +467,7 @@ class MaxPool2D(Layer):
         # into +0.0, as _col2im's sum onto zeros does
         np.add(dx, 0, out=dx)
         (pt, _), (pl, _) = pads
-        return dx[:, pt:pt + in_shape[1], pl:pl + in_shape[2]]
+        return dx[:, pt:pt + x.shape[1], pl:pl + x.shape[2]]
 
 
 class GlobalAvgPool(Layer):
@@ -482,12 +482,10 @@ class GlobalAvgPool(Layer):
     def forward(self, x, train=False, rng=None, *, out, keep):
         if x.ndim != 4:
             raise ShapeError(f"globalavgpool expects rank-4 input, got {x.shape}")
-        self.cache = x.shape if keep else None
         return x.mean(axis=(1, 2), out=out["y"])
 
-    def backward(self, upstream, *, out):
-        self._require_cache()
-        n, h, w, c = self.cache
+    def backward(self, upstream, x, *, fwd, out):
+        n, h, w, c = x.shape
         g = upstream / np.asarray(h * w, dtype=upstream.dtype)
         np.copyto(out["dx"], g[:, None, None, :])
         return out["dx"]
@@ -500,12 +498,10 @@ class Flatten(Layer):
         return Buffers((shape[0], int(np.prod(shape[1:]))), {}, {})
 
     def forward(self, x, train=False, rng=None, *, out, keep):
-        self.cache = x.shape if keep else None
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, upstream, *, out):
-        self._require_cache()
-        return upstream.reshape(self.cache)
+    def backward(self, upstream, x, *, fwd, out):
+        return upstream.reshape(x.shape)
 
 
 class Dense(Layer):
@@ -528,14 +524,11 @@ class Dense(Layer):
     def forward(self, x, train=False, rng=None, *, out, keep):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(f"dense expects (N,{self.in_features}), got {x.shape}")
-        self.cache = x if keep else None
         y = np.matmul(x, self.params["weight"], out=out["y"])
         y += self.params["bias"]
         return y
 
-    def backward(self, upstream, input_grad=True, *, out):
-        self._require_cache()
-        x = self.cache
+    def backward(self, upstream, x, input_grad=True, *, fwd, out):
         self.grads["weight"] += np.matmul(x.T, upstream, out=out["dw"])
         self.grads["bias"] += upstream.sum(axis=0)
         if not input_grad:
@@ -562,25 +555,29 @@ class Dropout(Layer):
 
     def forward(self, x, train=False, rng=None, *, out, keep):
         if not train:
-            self.cache = None
             return x
         if rng is None:
             raise StateError("dropout in train mode requires an rng")
         kept = rng.random(x.shape) >= self.rate
         mask = np.divide(kept, np.asarray(1.0 - self.rate, dtype=x.dtype),
                          out=out["mask"])
-        self.cache = mask if keep else None
         return np.multiply(x, mask, out=out["y"])
 
-    def backward(self, upstream, *, out):
-        self._require_cache()
-        return np.multiply(upstream, self.cache, out=out["dx"])
+    def backward(self, upstream, x, *, fwd, out):
+        return np.multiply(upstream, fwd["mask"], out=out["dx"])
+
+
+def _softmax(x):
+    """Row-wise softmax of x, from its max-shifted exponentials."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class Softmax(Layer):
-    """The model's output layer. Its output and a copy of its input, the
-    logits, are fresh arrays that callers keep across calls; the plan
-    reuses the logits' own buffer once the softmax has read it."""
+    """The model's output layer. Its output and `logits`, a copy of the
+    last forward's input, are fresh arrays that callers keep across calls;
+    the plan reuses the logits' own buffer once the softmax has read it.
+    No model walks its backward, which recomputes the output from x."""
 
     kind = "softmax"
 
@@ -588,22 +585,12 @@ class Softmax(Layer):
         return Buffers(shape, {}, {})
 
     def forward(self, x, train=False, rng=None, *, out, keep):
-        z = x - x.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        p = e / e.sum(axis=-1, keepdims=True)
-        self.cache = (p, x.copy())
-        return p
+        self.logits = x.copy()
+        return _softmax(x)
 
-    def backward(self, upstream, *, out):
-        self._require_cache()
-        p, _ = self.cache
+    def backward(self, upstream, x, *, fwd, out):
+        p = _softmax(x)
         return p * (upstream - (upstream * p).sum(axis=-1, keepdims=True))
-
-    @property
-    def logits(self):
-        """Pre-softmax activations from the last forward call."""
-        self._require_cache()
-        return self.cache[1]
 
 
 class Add(Layer):
@@ -621,10 +608,8 @@ class Add(Layer):
     def forward(self, a, b=None, train=False, rng=None, *, out, keep):
         if b is None or a.shape != b.shape:
             raise ShapeError("add expects two equal-shaped inputs")
-        self.cache = a.shape if keep else None
         return np.add(a, b, out=out["y"])
 
-    def backward(self, upstream, *, out):
-        self._require_cache()
+    def backward(self, upstream, a, b, *, fwd, out):
         np.copyto(out["db"], upstream)
         return upstream, out["db"]

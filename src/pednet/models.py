@@ -13,7 +13,9 @@ it, buffers whose lives do not overlap share bytes, and a layer writes its
 input in place when no later call reads that input (so a residual block's
 input, read by the block and by its shortcut, is never written). The plan
 also decides which nodes keep a backward cache and the walk that
-`backward` runs, so both follow the train forward that laid it out. The
+`backward` runs, so both follow the train forward that laid it out. Layers
+keep no step state: a train forward records its plan and each node's
+inputs, and `backward` hands each layer its part of that record. The
 arena is an anonymous memory mapping, grown only when a larger plan needs
 it and freed with the model. The softmax's output and its copy of the logits, the
 parameters, gradients and optimizer slots stay outside it.
@@ -114,7 +116,7 @@ class Model:
         self.backbone_len = 0  # leading node count forming the frozen backbone
         self._arena = None
         self._plans = {}  # (train, frontier, shape, dtype) -> _Plan
-        self._backward_plan = None  # the last train forward's plan
+        self._backward_plan = None  # the last train forward's plan, inputs
 
     # -- construction -----------------------------------------------------
 
@@ -145,18 +147,20 @@ class Model:
     def _run(self, x, train, rng, check_nodes=False):
         """Run the nodes in order, each writing into its views of the plan.
         A node keeps a backward cache only in a train forward at or above
-        the frontier: `backward` visits no other."""
+        the frontier: `backward` visits no other. A train forward records
+        the plan and each node's inputs for `backward`; any other forward
+        drops that record."""
         frontier = self._frontier() if train else 0
         plan = self._plan(train, frontier, x.shape, x.dtype)
-        outs = [None] * len(self.nodes)
+        outs, inputs = [None] * len(self.nodes), []
         for j, node in enumerate(self.nodes):
-            args = [x if i == -1 else outs[i] for i in node.inputs]
-            outs[j] = node.layer.forward(*args, train=train, rng=rng,
+            inputs.append([x if i == -1 else outs[i] for i in node.inputs])
+            outs[j] = node.layer.forward(*inputs[j], train=train, rng=rng,
                                          out=plan.fwd[j],
                                          keep=train and j >= frontier)
             if check_nodes:
                 T.check_finite(outs[j], node.name)
-        self._backward_plan = plan if train else None
+        self._backward_plan = (plan, inputs) if train else None
         return outs[-1]
 
     def backward(self, upstream):
@@ -170,24 +174,28 @@ class Model:
         of the node list (see `build_resnet50` and `optim.apply_phase`), so
         no frozen layer's `grads` are written. The frontier computes no
         input gradient, which nothing reads: training never computes the
-        gradient of the model input. Each layer writes into its views of
-        that plan. The call consumes the plan, so a second one needs a new
+        gradient of the model input. Each layer is handed the inputs its
+        forward was called with and its forward views of that plan
+        (`fwd=`), and writes into its backward views (`out=`). The call
+        consumes the forward's record, so a second one needs a new
         forward. The softmax is not walked: `logits` still reads. Each
         gradient in flight belongs to one pending input (see
         `Model._layout`), so a second gradient is added into it in place.
         """
         if self.nodes[-1].layer.kind != "softmax":
             raise ShapeError("backward requires a softmax output layer")
-        plan, self._backward_plan = self._backward_plan, None
-        if plan is None:
+        record, self._backward_plan = self._backward_plan, None
+        if record is None:
             raise StateError("backward called before a train forward")
+        plan, inputs = record
         grads = {self.nodes[-1].inputs[0]: upstream}
         for idx, to in plan.walk:
             layer, g = self.nodes[idx].layer, grads.pop(idx)
+            views = {"fwd": plan.fwd[idx], "out": plan.bwd[idx]}
             if to is None:
-                layer.backward(g, input_grad=False, out=plan.bwd[idx])
+                layer.backward(g, *inputs[idx], input_grad=False, **views)
                 continue
-            down = layer.backward(g, out=plan.bwd[idx])
+            down = layer.backward(g, *inputs[idx], **views)
             for i, gi in zip(to, down if isinstance(down, tuple) else (down,)):
                 if i is None:
                     continue
@@ -201,15 +209,13 @@ class Model:
     def _plan(self, train, frontier, shape, dtype):
         """The plan for this key, laid out on first use. A plan larger than
         the arena replaces it: the smaller arena, the plans on it and the
-        layer caches that view it are dropped first."""
+        train forward's record, which views it, are dropped first."""
         key = (train, frontier, shape, np.dtype(dtype))
         if key not in self._plans:
             fwd, bwd, walk, size = self._layout(train, frontier, shape, dtype)
             if self._arena is None or self._arena.size < size:
                 self._plans.clear()
                 self._backward_plan = self._arena = None
-                for node in self.nodes:
-                    node.layer.cache = None
                 # its own page-aligned mapping, returned to the system when
                 # the model drops it, whatever the heap around it holds
                 self._arena = np.frombuffer(mmap.mmap(-1, max(size, 1)),

@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 
@@ -42,12 +40,16 @@ def lone_views(layer, x, train=False, keep=None):
 
 def alone(layer, *inputs, train=False, rng=None):
     """Run layer.forward(*inputs) into the arrays of `lone_views`, keeping
-    its cache in train mode: (output, backward), where
-    backward(upstream, ...) runs layer.backward into the same plan's
-    backward arrays."""
+    what backward reads in train mode: (output, backward), where
+    backward(upstream, ...) runs layer.backward on the same inputs and
+    forward arrays, into the same plan's backward arrays, as a model's
+    backward hands them."""
     fwd, bwd = lone_views(layer, inputs[0], train)
     y = layer.forward(*inputs, train=train, rng=rng, out=fwd, keep=train)
-    return y, functools.partial(layer.backward, out=bwd)
+
+    def backward(upstream, *args):
+        return layer.backward(upstream, *inputs, *args, fwd=fwd, out=bwd)
+    return y, backward
 
 
 # Acceptance criteria record one verdict line each; the hook prints them in

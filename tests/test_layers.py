@@ -92,27 +92,6 @@ class TestForwardSemantics:
         with pytest.raises(ShapeError):
             alone(conv, np.zeros((1, 5, 5, 2)))
 
-    def test_backward_before_forward(self):
-        with pytest.raises(StateError):
-            L.ReLU().backward(np.ones(3), out={})
-
-    @pytest.mark.parametrize("kind", ["conv2d", "relu", "maxpool2d", "dense",
-                                      "dropout"])
-    def test_no_backward_after_eval_forward(self, kind):
-        layer, x = {
-            "conv2d": (L.Conv2D(4, 3, 2, seed=0), np.ones((1, 5, 5, 2))),
-            "relu": (L.ReLU(), np.ones((1, 4, 4, 2))),
-            "maxpool2d": (L.MaxPool2D(2, 2), np.ones((1, 4, 4, 2))),
-            "dense": (L.Dense(3, 2, seed=0), np.ones((2, 2))),
-            "dropout": (L.Dropout(0.3), np.ones((2, 2))),
-        }[kind]
-        y, backward = alone(layer, x, train=True,
-                            rng=np.random.default_rng(0))
-        alone(layer, x)  # drops the train-mode cache
-        assert layer.cache is None
-        with pytest.raises(StateError):
-            backward(np.ones_like(y))
-
 
 class TestBackwardSemantics:
     def test_relu_subgradient_zero_at_nonpositive(self):
@@ -265,15 +244,16 @@ class TestMaxPoolSlices:
         rng = np.random.default_rng(extent)
         x = _tied_input(fill, extent, dtype, rng)
         pool = L.MaxPool2D(kernel, stride, padding)
-        out, backward = alone(pool, x, train=True)
+        fwd, bwd = lone_views(pool, x, train=True)
+        out = pool.forward(x, train=True, out=fwd, keep=True)
         upstream = rng.standard_normal(out.shape).astype(dtype)
         upstream[0, 0, 0] = -0.0
         want, want_arg, want_dx = window_path_pool(x, kernel, stride, padding,
                                                    upstream)
         assert out.dtype == dtype and out.tobytes() == want.tobytes()
         # the same first maximum of every window
-        assert np.array_equal(pool.cache[0], want_arg)
-        dx = backward(upstream)
+        assert np.array_equal(fwd["arg"], want_arg)
+        dx = pool.backward(upstream, x, fwd=fwd, out=bwd)
         assert dx.dtype == dtype and dx.shape == x.shape
         assert dx.tobytes() == want_dx.tobytes()
 
@@ -283,14 +263,16 @@ class TestMaxPoolSlices:
         window-view path's. The output is compared by value: the sign of a
         zero maximum depends on the order the maxima are folded in."""
         pool = L.MaxPool2D(kernel, stride, padding)
-        out, backward = alone(pool, x, train=True)
+        fwd, bwd = lone_views(pool, x, train=True)
+        out = pool.forward(x, train=True, out=fwd, keep=True)
         upstream = np.random.default_rng(1).standard_normal(
             out.shape).astype(x.dtype)
         want, want_arg, want_dx = window_path_pool(x, kernel, stride, padding,
                                                    upstream)
         assert np.array_equal(out, want)
-        assert np.array_equal(pool.cache[0], want_arg)
-        assert backward(upstream).tobytes() == want_dx.tobytes()
+        assert np.array_equal(fwd["arg"], want_arg)
+        dx = pool.backward(upstream, x, fwd=fwd, out=bwd)
+        assert dx.tobytes() == want_dx.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("extent", [12, 13])
@@ -325,7 +307,7 @@ class TestMaxPoolSlices:
         pool = L.MaxPool2D(kernel, stride, padding)
         train_out, _ = alone(pool, x, train=True)
         eval_out, _ = alone(pool, x)
-        assert pool.cache is None  # no first-max index
+        assert "arg" not in lone_views(pool, x)[0]  # no first-max index
         assert eval_out.dtype == dtype
         assert eval_out.tobytes() == train_out.tobytes()
 
@@ -350,7 +332,7 @@ class TestMaxPoolSlices:
         upstream = rng.standard_normal(out.shape).astype(dtype)
         upstream[0, 0, 0] = -0.0
         want_dx = window_path_pool(x, 2, 2, padding, upstream)[2]
-        dx = pool.backward(upstream, out=bwd)
+        dx = pool.backward(upstream, x, fwd=fwd, out=bwd)
         assert np.shares_memory(dx, bwd["dx"])
         assert dx.dtype == dtype and dx.shape == x.shape
         assert dx.tobytes() == want_dx.tobytes()
@@ -399,12 +381,11 @@ class TestConvWindows:
                 monkeypatch.setattr(L, "COL_BUDGET", budget)
                 outs.append(forward(conv, x, out=lone_views(conv, x)[0],
                                     keep=False))
-            outs.append(forward(conv, x, train=True,
-                                out=lone_views(conv, x, train=True)[0],
-                                keep=True))
-            outs.append(whole_columns(conv) @ conv.params["weight"].reshape(
-                -1, conv.filters) + conv.params["bias"])
-            conv.cache = None
+            kept = lone_views(conv, x, train=True)[0]
+            outs.append(forward(conv, x, train=True, out=kept, keep=True))
+            outs.append(whole_columns(conv, kept.get("xp", x))
+                        @ conv.params["weight"].reshape(-1, conv.filters)
+                        + conv.params["bias"])
             assert all(out.dtype == np.float32
                        and out.tobytes() == outs[0].tobytes()
                        for out in outs), conv
@@ -436,10 +417,11 @@ class TestConvWindows:
         assert peak < 12e6, peak
 
     def test_pointwise_conv_caches_view_of_input(self):
+        """A 1x1 conv's train plan keeps its input itself for backward, not
+        a padded copy."""
         conv = L.Conv2D(4, 1, in_channels=3, seed=0)
-        x = np.random.default_rng(0).random((2, 5, 5, 3), np.float32)
-        alone(conv, x, train=True)
-        assert np.shares_memory(conv.cache[0], x)
+        spec = conv.buffers((2, 5, 5, 3), np.float32, True, True)
+        assert spec.holds and "xp" not in spec.fwd
 
     def test_pointwise_conv_backward_skips_scatter(self, monkeypatch):
         conv = L.Conv2D(4, 1, in_channels=3, seed=0)
@@ -457,10 +439,9 @@ class TestConvWindows:
         assert dx.tobytes() == want.tobytes()  # the sign of zeros too
 
 
-def whole_columns(conv):
+def whole_columns(conv, xp):
     """The conv's whole (N*Ho*Wo, k*k*C_in) column matrix, rebuilt from its
-    train cache by a strided window view of its own."""
-    xp = conv.cache[0]
+    padded input xp by a strided window view of its own."""
     k, s = conv.kernel, conv.stride
     win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
     return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * xp.shape[3])
@@ -471,23 +452,25 @@ def column_count(conv, y):
     return y.size // conv.filters * conv.kernel ** 2 * conv.in_channels
 
 
-def column_weight_grad(conv, upstream):
-    """Reference weight gradient: the whole-column product col.T @ g2,
-    added onto the gradient buffer as backward adds it."""
+def column_weight_grad(conv, xp, upstream):
+    """Reference weight gradient: the whole-column product col.T @ g2 over
+    the padded input xp, added onto the gradient buffer as backward adds
+    it."""
     g2 = upstream.reshape(-1, conv.filters)
-    return conv.grads["weight"] + (whole_columns(conv).T @ g2).reshape(
+    return conv.grads["weight"] + (whole_columns(conv, xp).T @ g2).reshape(
         conv.params["weight"].shape)
 
 
-def column_input_grad(conv, upstream):
-    """Reference conv input gradient: the full column gradient g2 @ w2.T,
-    whose columns run over (i, j, c), scattered cell by cell by _col2im."""
-    _, in_shape, pads = conv.cache
+def column_input_grad(conv, in_shape, upstream):
+    """Reference conv input gradient for an input of shape `in_shape`: the
+    full column gradient g2 @ w2.T, whose columns run over (i, j, c),
+    scattered cell by cell by _col2im."""
+    n, h, w, c = in_shape
+    pads = T.pad_amounts(h, w, conv.kernel, conv.stride, T.SAME_CEIL)
     w2 = conv.params["weight"].reshape(-1, conv.filters)
     dcol = upstream.reshape(-1, conv.filters) @ w2.T
     cells = np.moveaxis(dcol.reshape(*upstream.shape[:3], -1,
                                      conv.in_channels), 3, 0)
-    n, h, w, c = in_shape
     (pt, pb), (pl, pr) = pads
     return L._col2im(cells, in_shape, conv.kernel, conv.stride, pads,
                      np.empty((n, h + pt + pb, w + pl + pr, c), dcol.dtype))
@@ -503,10 +486,11 @@ class TestConvInputGradient:
         backward = L.Conv2D.backward
         checked, weights = [], []
 
-        def check(conv, upstream, input_grad=True, *, out):
-            want_w = column_weight_grad(conv, upstream)
-            want = column_input_grad(conv, upstream) if input_grad else None
-            dx = backward(conv, upstream, input_grad, out=out)
+        def check(conv, upstream, x, input_grad=True, *, fwd, out):
+            want_w = column_weight_grad(conv, fwd.get("xp", x), upstream)
+            want = (column_input_grad(conv, x.shape, upstream) if input_grad
+                    else None)
+            dx = backward(conv, upstream, x, input_grad, fwd=fwd, out=out)
             assert conv.grads["weight"].tobytes() == want_w.tobytes(), conv
             weights.append(conv)
             if input_grad:
@@ -536,14 +520,16 @@ class TestConvInputGradient:
         conv = L.Conv2D(5, kernel, in_channels=4, stride=stride, seed=2,
                         dtype=np.float64)
         rng = np.random.default_rng(3)
-        y, backward = alone(conv, rng.standard_normal((2, 9, 8, 4)),
-                            train=True)
+        x = rng.standard_normal((2, 9, 8, 4))
+        fwd, bwd = lone_views(conv, x, train=True)
+        y = conv.forward(x, train=True, out=fwd, keep=True)
         upstream = rng.standard_normal(y.shape)
         upstream[0, 0, 0] = -0.0
-        want_w = column_weight_grad(conv, upstream)
+        want_w = column_weight_grad(conv, fwd.get("xp", x), upstream)
         input_grad = kernel != 7
-        want = column_input_grad(conv, upstream) if input_grad else None
-        dx = backward(upstream, input_grad)
+        want = (column_input_grad(conv, x.shape, upstream) if input_grad
+                else None)
+        dx = conv.backward(upstream, x, input_grad, fwd=fwd, out=bwd)
         assert conv.grads["weight"].dtype == np.float64
         assert conv.grads["weight"].tobytes() == want_w.tobytes()
         if input_grad:
@@ -567,10 +553,11 @@ class TestConvInputGradient:
         y = conv.forward(x, train=True, out=fwd, keep=True)
         upstream = rng.standard_normal(y.shape)
         upstream[0, 0, 0] = -0.0
-        want_w = column_weight_grad(conv, upstream)
+        want_w = column_weight_grad(conv, fwd.get("xp", x), upstream)
         input_grad = kernel != 7
-        want = column_input_grad(conv, upstream) if input_grad else None
-        dx = conv.backward(upstream, input_grad, out=bwd)
+        want = (column_input_grad(conv, x.shape, upstream) if input_grad
+                else None)
+        dx = conv.backward(upstream, x, input_grad, fwd=fwd, out=bwd)
         assert conv.grads["weight"].tobytes() == want_w.tobytes()
         if input_grad:
             assert dx.dtype == np.float64 and dx.tobytes() == want.tobytes()
@@ -578,19 +565,21 @@ class TestConvInputGradient:
     @pytest.mark.parametrize("kernel,stride,extent", [
         (3, 1, 7), (7, 2, 8), (1, 1, 7), (1, 2, 7), (1, 2, 8)])
     def test_train_cache_is_padded_input(self, kernel, stride, extent):
-        """A train forward caches (padded input, input shape, pads): the
-        input itself when nothing is padded, else a padded copy."""
+        """What a train forward keeps for backward is its padded input: the
+        input itself, which the plan holds, when nothing is padded, else a
+        padded copy in its `xp` view."""
         conv = L.Conv2D(4, kernel, in_channels=3, stride=stride, seed=0)
         x = np.random.default_rng(0).random((2, extent, extent, 3),
                                             np.float32)
-        alone(conv, x, train=True)
-        xp, in_shape, pads = conv.cache
-        assert in_shape == x.shape
-        assert pads == T.pad_amounts(extent, extent, kernel, stride,
-                                     T.SAME_CEIL)
+        spec = conv.buffers(x.shape, x.dtype, True, True)
+        pads = T.pad_amounts(extent, extent, kernel, stride, T.SAME_CEIL)
         padded = any(p for pair in pads for p in pair)
-        assert (xp is not x) == padded
-        assert np.shares_memory(xp, x) == (not padded)
+        assert spec.holds == (not padded)
+        assert [role for name, (_, _, role) in spec.fwd.items()
+                if name == "xp"] == ([L.CACHE] if padded else [])
+        fwd, _ = lone_views(conv, x, train=True)
+        conv.forward(x, train=True, out=fwd, keep=True)
+        xp = fwd.get("xp", x)
         assert xp.tobytes() == np.pad(x, ((0, 0), *pads, (0, 0))).tobytes()
 
     def test_no_column_matrix_survives(self):
@@ -605,15 +594,17 @@ class TestConvInputGradient:
         upstream = rng.standard_normal((8, 49, 49, 64)).astype(np.float32)
         fwd, bwd = lone_views(conv, x, train=True)
         conv.forward(x, train=True, out=fwd, keep=True)
-        conv.backward(upstream, out=bwd)  # what a first call allocates
+        # what a first call allocates
+        conv.backward(upstream, x, fwd=fwd, out=bwd)
+        kept = [name for name, (_, _, role)
+                in conv.buffers(x.shape, x.dtype, True, True).fwd.items()
+                if role == L.CACHE]
         tracemalloc.start()
         try:
             y = conv.forward(x, train=True, out=fwd, keep=True)
             after_forward = tracemalloc.get_traced_memory()[0]
-            cached = sum(a.nbytes for a in conv.cache
-                         if isinstance(a, np.ndarray))
-            dx = conv.backward(upstream, out=bwd)
-            conv.cache = None
+            cached = sum(fwd[name].nbytes for name in kept)
+            dx = conv.backward(upstream, x, fwd=fwd, out=bwd)
             after_backward = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -638,11 +629,11 @@ class TestConvInputGradient:
         fwd, bwd = lone_views(conv, x, train=True)
         upstream = rng.standard_normal(conv.forward(
             x, train=True, out=fwd, keep=True).shape).astype(np.float32)
-        conv.backward(upstream, out=bwd)
+        conv.backward(upstream, x, fwd=fwd, out=bwd)
         conv.forward(x, train=True, out=fwd, keep=True)
         tracemalloc.start()
         try:
-            conv.backward(upstream, out=bwd)
+            conv.backward(upstream, x, fwd=fwd, out=bwd)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -795,20 +786,67 @@ class TestBatchNormStatistics:
         bn = L.BatchNorm(4, dtype=dtype)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 3, 3, 4)).astype(dtype)
-        _, backward = alone(bn, x, train=True)
-        xc = bn.cache[0]
-        dx = backward(rng.standard_normal(x.shape).astype(dtype))
+        fwd, bwd = lone_views(bn, x, train=True)
+        bn.forward(x, train=True, out=fwd, keep=True)
+        dx = bn.backward(rng.standard_normal(x.shape).astype(dtype), x,
+                         fwd=fwd, out=bwd)
         assert dx.dtype == dtype
-        assert np.shares_memory(dx, xc)
+        assert np.shares_memory(dx, fwd["xc"])
         assert not np.shares_memory(dx, x)
 
+    @pytest.mark.parametrize("batch", [1, 8])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_recomputes_forward_inv_std(self, dtype, batch,
+                                                 monkeypatch):
+        """Backward recomputes inv_std from the centred input the forward
+        kept, with the forward's own expression, so it gets the forward's
+        bytes, and dscale, dshift and dx are the bytes of the backward
+        formula evaluated with the forward's inv_std."""
+        inv_stds, real = [], L.BatchNorm._inv_std
+
+        def record(self, var, dtype):
+            inv_stds.append(real(self, var, dtype))
+            return inv_stds[-1]
+
+        monkeypatch.setattr(L.BatchNorm, "_inv_std", record)
+        rng = np.random.default_rng(batch)
+        bn = L.BatchNorm(4, dtype=dtype)
+        bn.params["scale"] = rng.standard_normal(4).astype(dtype)
+        x = (rng.standard_normal((batch, 5, 5, 4)) * 3 + 1).astype(dtype)
+        upstream = rng.standard_normal(x.shape).astype(dtype)
+        fwd, bwd = lone_views(bn, x, train=True)
+        bn.forward(x, train=True, out=fwd, keep=True)
+        inv_std, xc = inv_stds[0], fwd["xc"].copy()
+        dx = bn.backward(upstream, x, fwd=fwd, out=bwd)
+        assert inv_stds[1].tobytes() == inv_std.tobytes()
+        count = x.dtype.type(x.size // 4)
+        dscale = L._channel_sum(upstream, xc) * inv_std
+        dshift = L._channel_sum(upstream)
+        want = ((upstream - xc * (inv_std * dscale / count) - dshift / count)
+                * (bn.params["scale"] * inv_std))
+        zero = np.zeros(4, dtype)  # the gradient buffers it adds onto
+        assert bn.grads["scale"].tobytes() == (zero + dscale).tobytes()
+        assert bn.grads["shift"].tobytes() == (zero + dshift).tobytes()
+        assert dx.dtype == dtype and dx.tobytes() == want.tobytes()
+
     def test_no_backward_after_eval_forward(self):
-        bn = L.BatchNorm(2)
-        x = np.random.default_rng(0).random((2, 3, 3, 2), np.float32)
-        _, backward = alone(bn, x, train=True)
-        alone(bn, x)  # must not leave the train cache behind
+        """An eval forward writes the arena bytes of the centred input that
+        the train forward before it kept for backward, so a model refuses
+        a backward until its next train forward."""
+        model = models.Model("GAP")
+        model.add("bn", L.BatchNorm(3))
+        model.add("gap", L.GlobalAvgPool())
+        model.add("dense", L.Dense(models.NUM_CLASSES, 3, seed=0))
+        model.add("softmax", L.Softmax())
+        x = np.random.default_rng(0).random((2, *models.INPUT_SPEC),
+                                            np.float32)
+        model.forward(x, train=True)
+        xc = model._backward_plan[0].fwd[0]["xc"]
+        model.forward(x)
+        y = model._plans[False, 0, x.shape, x.dtype].fwd[0]["y"]
+        assert np.shares_memory(y, xc)
         with pytest.raises(StateError, match="backward called before"):
-            backward(np.ones_like(x))
+            model.backward(np.ones((2, models.NUM_CLASSES), np.float32))
 
     def test_train_output_normalized(self):
         bn = L.BatchNorm(4, dtype=np.float64)

@@ -6,8 +6,9 @@ every defaulted parameter of one is passed by a program call; no script
 reaches into the test suite, an OSError is caught only where an input is
 read or where the command line reports it, a ConfigError is raised only by
 the registry lookup, no function of the package imports one of its
-modules, no call in the package passes a `where=` mask, and only a
-model's plan decides what a node keeps and what its backward walks.
+modules, no call in the package passes a `where=` mask, only a model's
+plan decides what a node keeps and what its backward walks, and no layer
+keeps step state of its own.
 """
 
 import ast
@@ -403,3 +404,63 @@ def test_plan_alone_decides_walk_and_keep():
         for line in _decided_twice(_parse(path))]
     assert not offenders, ("walk or keep decided outside the plan: "
                            + ", ".join(offenders))
+
+
+def _assigned(target):
+    """The single targets of an assignment target, through tuples."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _assigned(elt)
+    elif isinstance(target, ast.Starred):
+        yield from _assigned(target.value)
+    else:
+        yield target
+
+
+def _step_state_writes(tree):
+    """(line, "Class.method", attribute) of each assignment to a
+    `self.<attribute>` inside a method named `forward` or `backward`."""
+    writes = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for meth in cls.body:
+            if not (isinstance(meth, ast.FunctionDef)
+                    and meth.name in ("forward", "backward")):
+                continue
+            for node in ast.walk(meth):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                writes += [(node.lineno, f"{cls.name}.{meth.name}", t.attr)
+                           for target in targets for t in _assigned(target)
+                           if isinstance(t, ast.Attribute)
+                           and isinstance(t.value, ast.Name)
+                           and t.value.id == "self"]
+    return sorted(writes)
+
+
+def test_layers_keep_no_step_state():
+    """What a backward reads belongs to the step: the model hands it the
+    forward's inputs and the plan's views. A layer attribute set by a
+    forward or backward would outlive the step, view an arena the model
+    may replace, and serve a backward of another forward. The one
+    exception is the softmax's `logits`, a fresh copy that callers read
+    after the forward. Statistics a forward updates (`self.state[...]`)
+    are the layer's, not the step's."""
+    probe = ast.parse("class K:\n    def forward(self, x):\n"
+                      "        self.cache = x\n        self.state['m'] = x\n"
+                      "        a, self.b = x\n        self.n += 1\n"
+                      "    def backward(self, g):\n        y = self.w\n"
+                      "    def buffers(self):\n        self.c = 1\n")
+    assert _step_state_writes(probe) == [(3, "K.forward", "cache"),
+                                         (5, "K.forward", "b"),
+                                         (6, "K.forward", "n")]
+    path = os.path.join(ROOT, "src", "pednet", "layers.py")
+    offenders = [f"layers.py:{line} {where} sets self.{attr}"
+                 for line, where, attr in _step_state_writes(_parse(path))
+                 if (where, attr) != ("Softmax.forward", "logits")]
+    assert not offenders, "layer step state: " + ", ".join(offenders)

@@ -257,9 +257,15 @@ class TestBackward:
             lowest = [n.name for n in model.nodes].index(self.LOWEST[case])
         before = {n.name: n.layer.state["moving_mean"].copy()
                   for n in model.nodes if n.layer.kind == "batchnorm"}
+        kept = {}
+        for idx, node in enumerate(model.nodes):
+            def forward(*args, _fn=node.layer.forward, _idx=idx, **kwargs):
+                kept[_idx] = kwargs["keep"]
+                return _fn(*args, **kwargs)
+            node.layer.forward = forward
         g = _forward_loss_grad(model)
         for idx, node in enumerate(model.nodes):
-            assert (node.layer.cache is None) == (idx < lowest), node.name
+            assert kept[idx] == (idx >= lowest), node.name
             if idx < lowest and node.layer.kind == "batchnorm":
                 # a train-mode forward below the frontier still moves them
                 assert np.any(node.layer.state["moving_mean"]
@@ -269,33 +275,50 @@ class TestBackward:
 
     @pytest.mark.parametrize("case", CASES + ["custom-all-trainable"])
     def test_backward_releases_each_cache_it_consumed(self, case):
-        """Backward consumes the plan whose arena holds the caches it read,
-        so a second call needs a new forward; a walked layer's cache is
-        arena views and per-channel vectors, nothing of its own."""
+        """What a backward reads is the step's, not the layers': the train
+        forward records each node's inputs and the plan whose views they
+        and every kept array are, the model input aside, and backward
+        consumes that record, so a second call needs a new forward."""
         if case == "custom-all-trainable":
             model = models.build_model(models.registry_lookup(8), seed=0)
         else:
             model, _ = _phase_model(case)
-        calls = _spy(model)
         g = _forward_loss_grad(model)
+        plan, inputs = model._backward_plan
+        x = inputs[0][0]  # the model input, the first node's
+        assert plan.walk
+        for idx, _ in plan.walk:
+            for arr in [*plan.fwd[idx].values(), *plan.bwd[idx].values(),
+                        *(a for a in inputs[idx] if a is not x)]:
+                assert np.may_share_memory(arr, model._arena), \
+                    (model.nodes[idx].name, arr.shape)
         model.zero_grads()
         model.backward(g)
-        walked = {idx for idx, method, _, _ in calls if method == "backward"}
-        assert walked
-        for idx in walked:
-            layer = model.nodes[idx].layer
-            for arr in _cached_arrays(layer):
-                assert (np.may_share_memory(arr, model._arena)
-                        or arr.shape == (getattr(layer, "channels", -1),)), \
-                    (model.nodes[idx].name, arr.shape)
+        assert model._backward_plan is None
         for node in model.nodes:
-            # no layer keeps an array outside its parameters, gradients,
-            # statistics and cache from one step to the next
+            # no layer keeps an array outside its parameters, gradients and
+            # statistics from one step to the next, but the softmax's logits
             kept = [k for k, v in vars(node.layer).items()
-                    if k != "cache" and isinstance(v, np.ndarray)]
-            assert not kept, (node.name, kept)
+                    if isinstance(v, np.ndarray)]
+            assert kept == (["logits"] if node is model.nodes[-1] else []), \
+                (node.name, kept)
         # the softmax is not walked: its logits still read
         assert model.nodes[-1].layer.logits.shape == g.shape
+        with pytest.raises(StateError, match="backward called before"):
+            model.backward(g)
+
+    def test_backward_needs_the_last_forward_in_train_mode(self):
+        """A fresh model has no train forward to differentiate, and an eval
+        forward, whose plan shares the arena with the views a train plan
+        kept, drops the train forward's record."""
+        model = models.build_model(models.registry_lookup(8), seed=0)
+        g = np.ones((2, models.NUM_CLASSES), np.float32)
+        with pytest.raises(StateError, match="backward called before"):
+            model.backward(g)
+        x = np.random.default_rng(0).random((2, *models.INPUT_SPEC),
+                                            np.float32)
+        model.forward(x, train=True, rng=np.random.default_rng(0))
+        model.forward(x)
         with pytest.raises(StateError, match="backward called before"):
             model.backward(g)
 
@@ -385,10 +408,17 @@ class TestBackward:
                     node.name
 
 
-def _cached_arrays(layer):
-    """The arrays a layer's forward cache holds."""
-    items = layer.cache if isinstance(layer.cache, tuple) else (layer.cache,)
-    return [a for a in items if isinstance(a, np.ndarray)]
+def _held_arrays(model):
+    """Every array the model's layers hold beside their parameters,
+    gradients and statistics, and every array of its step record: the
+    plan views and inputs a train forward leaves for backward."""
+    arrays = [v for node in model.nodes for v in vars(node.layer).values()
+              if isinstance(v, np.ndarray)]
+    if model._backward_plan is not None:
+        plan, inputs = model._backward_plan
+        arrays += [a for views in plan.fwd + plan.bwd for a in views.values()]
+        arrays += [a for args in inputs for a in args]
+    return arrays
 
 
 class TestLiveness:
@@ -398,11 +428,10 @@ class TestLiveness:
         x = np.random.default_rng(0).random((2, *models.INPUT_SPEC),
                                             np.float32)
         model.forward(x, train=True, rng=np.random.default_rng(0))
-        model.forward(x, train=False)  # replaces every train-mode cache
+        model.forward(x, train=False)  # drops the train forward's record
         logits = model.nodes[-1].layer.logits
-        for node in model.nodes:
-            for arr in _cached_arrays(node.layer):
-                assert arr.size <= logits.size, (node.name, arr.shape)
+        for arr in _held_arrays(model):
+            assert arr.size <= logits.size, arr.shape
 
     @pytest.mark.parametrize("model_id", [8, 1])
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
@@ -445,16 +474,25 @@ class TestLiveness:
 
 def _private_inputs(model):
     """Give every layer a private copy of each input, and fresh forward
-    arrays instead of the arena's: the reference in which no layer's write
-    can reach another layer."""
+    arrays instead of the arena's, and hand its backward those same copies
+    and arrays: the reference in which no layer's write can reach another
+    layer."""
     for node in model.nodes:
+        saved = {}
+
         def forward(*args, _fn=node.layer.forward, _layer=node.layer,
-                    **kwargs):
+                    _saved=saved, **kwargs):
             args = [a.copy() for a in args]
             kwargs["out"] = lone_views(_layer, args[0], kwargs["train"],
                                        kwargs["keep"])[0]
+            _saved.update(inputs=args, fwd=kwargs["out"])
             return _fn(*args, **kwargs)
-        node.layer.forward = forward
+
+        def backward(upstream, *args, _fn=node.layer.backward, _saved=saved,
+                     **kwargs):
+            kwargs["fwd"] = _saved["fwd"]
+            return _fn(upstream, *_saved["inputs"], **kwargs)
+        node.layer.forward, node.layer.backward = forward, backward
 
 
 class TestOwnership:
@@ -754,19 +792,18 @@ class TestArena:
         assert model._arena is large
 
     def test_larger_plan_drops_caches_on_the_old_arena(self):
-        """The caches a backward read stay views of the arena; a larger
-        plan drops them with it, so they do not keep the smaller mapping
-        alive through the next forward."""
+        """A train forward's record views its arena until backward; a
+        larger plan drops it with that arena, so nothing reachable from the
+        model's layers or its record keeps the smaller mapping alive."""
         model = models.build_model(models.registry_lookup(8), seed=0)
-        _train_step(model, optim.make_optimizer(models.registry_lookup(8)))
+        _forward_loss_grad(model)
         small = model._arena
-        assert any(np.may_share_memory(arr, small) for node in model.nodes
-                   for arr in _cached_arrays(node.layer))
+        assert any(np.may_share_memory(arr, small)
+                   for arr in _held_arrays(model))
         model._plan(True, 0, (4, *models.INPUT_SPEC), np.float32)
         assert model._arena.size > small.size
-        for node in model.nodes:
-            for arr in _cached_arrays(node.layer):
-                assert not np.may_share_memory(arr, small), node.name
+        for arr in _held_arrays(model):
+            assert not np.may_share_memory(arr, small), arr.shape
 
     def test_no_plan_grows(self):
         """None of the 36 registry plans takes more arena bytes than
